@@ -3,7 +3,9 @@
 // allocating counterpart in matrix.go — callers rely on bit-identical
 // results when swapping one for the other — and writes into caller-supplied
 // storage so per-iteration loops (mixed-model fits, power iteration) run
-// without garbage-collector churn.
+// without garbage-collector churn. The Cholesky kernels here are the only
+// copy of that arithmetic: NewCholesky, SolveVec, Solve and Inverse wrap
+// them.
 package linalg
 
 import (
@@ -108,12 +110,14 @@ func NewCholeskyWorkspace(n int) *Cholesky {
 func (c *Cholesky) Order() int { return c.l.rows }
 
 // Refactor factors the symmetric positive definite matrix a into the
-// receiver's existing storage, avoiding the per-iteration factor allocation
-// of NewCholesky. Only the lower triangle of a is read, and only the lower
-// triangle of the factor is written (the upper stays zero), so repeated
-// refactorizations reuse the same memory. The arithmetic matches
-// NewCholesky operation-for-operation. On error the factor contents are
-// undefined until the next successful Refactor.
+// receiver's existing storage, avoiding a per-iteration factor allocation.
+// Only the lower triangle of a is read, and only the lower triangle of the
+// factor is written (the upper stays zero), so repeated refactorizations
+// reuse the same memory. NewCholesky is this kernel on a fresh workspace.
+// The loops run over row slices of the raw storage: L[i][j] is a[i][j]
+// minus l_ik·l_jk for k = 0, 1, …, j−1 in that order, divided by the pivot.
+// On error the factor contents are undefined until the next successful
+// Refactor.
 func (c *Cholesky) Refactor(a *Matrix) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("linalg: cholesky of %dx%d: %w", a.rows, a.cols, ErrShape)
@@ -122,24 +126,28 @@ func (c *Cholesky) Refactor(a *Matrix) error {
 		return fmt.Errorf("linalg: refactor order %d into workspace of order %d: %w", a.rows, c.l.rows, ErrShape)
 	}
 	n := a.rows
-	l := c.l
+	ld, ad := c.l.data, a.data
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
+		lj := ld[j*n : j*n+j] // L[j][0:j]
+		d := ad[j*n+j]
+		for _, ljk := range lj {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("linalg: leading minor %d not positive (%.6g): %w", j+1, d, ErrSingular)
 		}
 		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
+		ld[j*n+j] = dj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			// L[i][0:j], resliced to lj's length so the compiler drops
+			// the bounds checks on lj[k]; the order is unchanged.
+			li := ld[i*n : i*n+j]
+			li = li[:len(lj)]
+			s := ad[i*n+j]
+			for k, lik := range li {
+				s -= lik * lj[k]
 			}
-			l.Set(i, j, s/dj)
+			ld[i*n+j] = s / dj
 		}
 	}
 	return nil
@@ -147,34 +155,39 @@ func (c *Cholesky) Refactor(a *Matrix) error {
 
 // SolveVecTo solves A x = b into dst without allocating. dst may alias b:
 // the forward solve overwrites dst ascending reading only already-written
-// entries, and the back solve descends in place. The arithmetic matches
-// SolveVec exactly.
+// entries, and the back solve descends in place. SolveVec is this kernel
+// into a fresh vector.
 func (c *Cholesky) SolveVecTo(dst, b []float64) error {
 	n := c.l.rows
 	if len(b) != n || len(dst) != n {
 		return fmt.Errorf("linalg: cholesky solve with vector of %d into %d, want %d: %w", len(b), len(dst), n, ErrShape)
 	}
+	ld := c.l.data
 	// Forward solve L y = b, y stored in dst.
 	for i := 0; i < n; i++ {
+		li := ld[i*n : i*n+i] // L[i][0:i]
+		y := dst[:len(li)]    // y[0:i], bounds-check free
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * dst[k]
+		for k, lik := range li {
+			s -= lik * y[k]
 		}
-		dst[i] = s / c.l.At(i, i)
+		dst[i] = s / ld[i*n+i]
 	}
-	// Back solve Lᵀ x = y in place.
+	// Back solve Lᵀ x = y in place: column i of L below the diagonal is
+	// read with stride n.
 	for i := n - 1; i >= 0; i-- {
 		s := dst[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * dst[k]
+		for k, at := i+1, (i+1)*n+i; k < n; k, at = k+1, at+n {
+			s -= ld[at] * dst[k]
 		}
-		dst[i] = s / c.l.At(i, i)
+		dst[i] = s / ld[i*n+i]
 	}
 	return nil
 }
 
 // SolveTo solves A X = B column-by-column into dst using colBuf (length
-// ≥ order) as scratch, allocation-free. dst must not alias b.
+// ≥ order) as scratch, allocation-free. dst must not alias b. Solve is this
+// kernel into a fresh matrix.
 func (c *Cholesky) SolveTo(dst, b *Matrix, colBuf []float64) error {
 	n := c.l.rows
 	if b.rows != n {
@@ -187,23 +200,26 @@ func (c *Cholesky) SolveTo(dst, b *Matrix, colBuf []float64) error {
 		return fmt.Errorf("linalg: cholesky solve scratch of %d for order %d: %w", len(colBuf), n, ErrShape)
 	}
 	col := colBuf[:n]
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
+	m := b.cols
+	for j := 0; j < m; j++ {
+		for i := range col {
+			col[i] = b.data[i*m+j]
 		}
 		if err := c.SolveVecTo(col, col); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			dst.Set(i, j, col[i])
+		for i, v := range col {
+			dst.data[i*m+j] = v
 		}
 	}
 	return nil
 }
 
 // InverseTo writes A⁻¹ into dst using colBuf (length ≥ order) as scratch,
-// allocation-free. Column j solves against the j-th unit vector, exactly as
-// Inverse does via Solve(Identity).
+// allocation-free. Column j solves against the j-th unit vector with
+// SolveVecTo; a caller that needs only some columns of A⁻¹ gets the same
+// bits by doing that solve for just those columns. Inverse is this kernel
+// into a fresh matrix.
 func (c *Cholesky) InverseTo(dst *Matrix, colBuf []float64) error {
 	n := c.l.rows
 	if dst.rows != n || dst.cols != n {
@@ -214,15 +230,15 @@ func (c *Cholesky) InverseTo(dst *Matrix, colBuf []float64) error {
 	}
 	col := colBuf[:n]
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
+		for i := range col {
 			col[i] = 0
 		}
 		col[j] = 1
 		if err := c.SolveVecTo(col, col); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			dst.Set(i, j, col[i])
+		for i, v := range col {
+			dst.data[i*n+j] = v
 		}
 	}
 	return nil

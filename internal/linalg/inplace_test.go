@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -188,69 +189,208 @@ func TestAddScaledTo(t *testing.T) {
 	bitEqualVec(t, "AddScaledTo aliased", aliased, want)
 }
 
-// TestRefactorBitIdentical proves a reused Cholesky workspace reproduces a
-// fresh factorization bit-for-bit, including after factoring a different
-// matrix first (stale lower-triangle contents are fully overwritten).
+// refCholesky is the textbook At/Set Cholesky the raw-storage kernels
+// replaced. It is kept here, independent of the package's kernels, as the
+// reference they must match bit-for-bit.
+func refCholesky(a *Matrix) (*Matrix, error) {
+	n := a.Rows()
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			ljk := l.At(j, k)
+			d -= ljk * ljk
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrSingular
+		}
+		dj := math.Sqrt(d)
+		l.Set(j, j, dj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/dj)
+		}
+	}
+	return l, nil
+}
+
+// refSolveVec solves L Lᵀ x = b with separate forward and back vectors.
+func refSolveVec(l *Matrix, b []float64) []float64 {
+	n := l.Rows()
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return x
+}
+
+// refSolve solves L Lᵀ X = B column by column.
+func refSolve(l, b *Matrix) *Matrix {
+	out := NewMatrix(b.Rows(), b.Cols())
+	col := make([]float64, b.Rows())
+	for j := 0; j < b.Cols(); j++ {
+		for i := range col {
+			col[i] = b.At(i, j)
+		}
+		for i, v := range refSolveVec(l, col) {
+			out.Set(i, j, v)
+		}
+	}
+	return out
+}
+
+func refLogDet(l *Matrix) float64 {
+	s := 0.0
+	for i := 0; i < l.Rows(); i++ {
+		s += math.Log(l.At(i, i))
+	}
+	return 2 * s
+}
+
+// glmmShapedSPD builds a matrix with the structure of the logistic mixed
+// model's PIRLS Hessian [X Z]ᵀW[X Z] + blkdiag(0, D⁻¹): dense β rows over p
+// fixed effects, diagonal user and question blocks, and a user×question
+// cross block that is exactly zero wherever a user skipped a question.
+func glmmShapedSPD(r *lcg, p, users, questions int) *Matrix {
+	dim := p + users + questions
+	h := NewMatrix(dim, dim)
+	x := make([]float64, p)
+	for u := 0; u < users; u++ {
+		for q := 0; q < questions; q++ {
+			if r.next()%4 == 0 {
+				continue // skipped question: no observation
+			}
+			x[0] = 1
+			for j := 1; j < p; j++ {
+				x[j] = float64(r.next() % 3) // 0 leaves exact zeros in X
+			}
+			w := 0.25 * (r.float() + 1.01) / 2.01
+			cols := []int{p + u, p + users + q}
+			for a := 0; a < p; a++ {
+				for b := 0; b < p; b++ {
+					h.Add(a, b, w*x[a]*x[b])
+				}
+				for _, c := range cols {
+					h.Add(a, c, w*x[a])
+					h.Add(c, a, w*x[a])
+				}
+			}
+			for _, ca := range cols {
+				for _, cb := range cols {
+					h.Add(ca, cb, w)
+				}
+			}
+		}
+	}
+	for c := p; c < dim; c++ {
+		h.Add(c, c, 1/(0.3+(r.float()+1)/2))
+	}
+	return h
+}
+
+// TestRefactorBitIdentical proves the raw-storage Cholesky kernels, and
+// the allocating wrappers over them, reproduce the reference At/Set
+// arithmetic bit-for-bit. Each workspace first factors a different matrix,
+// so stale lower-triangle contents must be fully overwritten. Order 52 with
+// block structure is the shape of the study's Table I GLMM Hessian (4 fixed
+// effects, 40 users, 8 questions).
 func TestRefactorBitIdentical(t *testing.T) {
 	r := &lcg{s: 7}
-	for _, n := range []int{1, 4, 12} {
-		first := randSPD(r, n)
-		second := randSPD(r, n)
+	type tc struct {
+		name string
+		a    *Matrix
+	}
+	var cases []tc
+	for _, n := range []int{1, 4, 12, 52} {
+		cases = append(cases, tc{fmt.Sprintf("dense order %d", n), randSPD(r, n)})
+	}
+	cases = append(cases, tc{"GLMM-shaped order 52", glmmShapedSPD(r, 4, 40, 8)})
+	for _, c := range cases {
+		n := c.a.Rows()
+		wantL, err := refCholesky(c.a)
+		if err != nil {
+			t.Fatalf("%s: reference factor: %v", c.name, err)
+		}
 		ws := NewCholeskyWorkspace(n)
-		if err := ws.Refactor(first); err != nil {
+		if err := ws.Refactor(randSPD(r, n)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.Refactor(second); err != nil {
+		if err := ws.Refactor(c.a); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewCholesky(second)
+		fresh, err := NewCholesky(c.a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitEqualMat(t, "Refactor L", ws.L(), fresh.L())
-		if math.Float64bits(ws.LogDet()) != math.Float64bits(fresh.LogDet()) {
-			t.Fatalf("LogDet = %v, want %v", ws.LogDet(), fresh.LogDet())
+		bitEqualMat(t, c.name+": Refactor L", ws.L(), wantL)
+		bitEqualMat(t, c.name+": NewCholesky L", fresh.L(), wantL)
+		wantLogDet := refLogDet(wantL)
+		for _, got := range []float64{ws.LogDet(), fresh.LogDet()} {
+			if math.Float64bits(got) != math.Float64bits(wantLogDet) {
+				t.Fatalf("%s: LogDet = %v, want %v", c.name, got, wantLogDet)
+			}
 		}
 
 		b := randVec(r, n)
-		want, err := fresh.SolveVec(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refSolveVec(wantL, b)
 		got := make([]float64, n)
 		if err := ws.SolveVecTo(got, b); err != nil {
 			t.Fatal(err)
 		}
-		bitEqualVec(t, "SolveVecTo", got, want)
-		// Aliased solve: dst == b.
-		aliased := make([]float64, n)
-		copy(aliased, b)
+		bitEqualVec(t, c.name+": SolveVecTo", got, want)
+		aliased := append([]float64(nil), b...)
 		if err := ws.SolveVecTo(aliased, aliased); err != nil {
 			t.Fatal(err)
 		}
-		bitEqualVec(t, "SolveVecTo aliased", aliased, want)
-
-		rhs := randMatrix(r, n, 3)
-		wantM, err := fresh.Solve(rhs)
+		bitEqualVec(t, c.name+": SolveVecTo aliased", aliased, want)
+		got, err = fresh.SolveVec(b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bitEqualVec(t, c.name+": SolveVec", got, want)
+
+		rhs := randSparseMatrix(r, n, 3, 0.5)
+		wantM := refSolve(wantL, rhs)
 		gotM := NewMatrix(n, 3)
 		colBuf := make([]float64, n)
 		if err := ws.SolveTo(gotM, rhs, colBuf); err != nil {
 			t.Fatal(err)
 		}
-		bitEqualMat(t, "SolveTo", gotM, wantM)
-
-		wantInv, err := fresh.Inverse()
-		if err != nil {
+		bitEqualMat(t, c.name+": SolveTo", gotM, wantM)
+		if gotM, err = fresh.Solve(rhs); err != nil {
 			t.Fatal(err)
 		}
+		bitEqualMat(t, c.name+": Solve", gotM, wantM)
+
+		eye := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			eye.Set(i, i, 1)
+		}
+		wantInv := refSolve(wantL, eye)
 		gotInv := NewMatrix(n, n)
 		if err := ws.InverseTo(gotInv, colBuf); err != nil {
 			t.Fatal(err)
 		}
-		bitEqualMat(t, "InverseTo", gotInv, wantInv)
+		bitEqualMat(t, c.name+": InverseTo", gotInv, wantInv)
+		if gotInv, err = fresh.Inverse(); err != nil {
+			t.Fatal(err)
+		}
+		bitEqualMat(t, c.name+": Inverse", gotInv, wantInv)
 	}
 }
 
@@ -271,6 +411,9 @@ func TestRefactorRejectsNonSPD(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitEqualMat(t, "Refactor after failure", ws.L(), fresh.L())
+	if _, err := NewCholesky(bad); err == nil {
+		t.Fatal("NewCholesky accepted a singular matrix")
+	}
 }
 
 func TestCopyFromZero(t *testing.T) {

@@ -53,15 +53,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -189,33 +180,13 @@ type Cholesky struct {
 
 // NewCholesky factors the symmetric positive definite matrix a. Only the
 // lower triangle of a is read. It returns ErrSingular if a is not positive
-// definite to working precision.
+// definite to working precision. It is Refactor on a fresh workspace.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("linalg: cholesky of %dx%d: %w", a.rows, a.cols, ErrShape)
+	c := NewCholeskyWorkspace(a.rows)
+	if err := c.Refactor(a); err != nil {
+		return nil, err
 	}
-	n := a.rows
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
-			d -= ljk * ljk
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("linalg: leading minor %d not positive (%.6g): %w", j+1, d, ErrSingular)
-		}
-		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/dj)
-		}
-	}
-	return &Cholesky{l: l}, nil
+	return c, nil
 }
 
 // L returns a copy of the lower-triangular factor.
@@ -223,65 +194,43 @@ func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 
 // LogDet returns the log-determinant of the factored matrix A.
 func (c *Cholesky) LogDet() float64 {
+	n := c.l.rows
 	s := 0.0
-	for i := 0; i < c.l.rows; i++ {
-		s += math.Log(c.l.At(i, i))
+	for i := 0; i < n; i++ {
+		s += math.Log(c.l.data[i*n+i])
 	}
 	return 2 * s
 }
 
-// SolveVec solves A x = b for x given the factorization of A.
+// SolveVec solves A x = b for x given the factorization of A. It is
+// SolveVecTo into a fresh vector.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
-	n := c.l.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: cholesky solve with vector of %d, want %d: %w", len(b), n, ErrShape)
-	}
-	// Forward solve L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	// Back solve Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
-		}
-		x[i] = s / c.l.At(i, i)
+	x := make([]float64, len(b))
+	if err := c.SolveVecTo(x, b); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
 
-// Solve solves A X = B column-by-column given the factorization of A.
+// Solve solves A X = B column-by-column given the factorization of A. It is
+// SolveTo into a fresh matrix.
 func (c *Cholesky) Solve(b *Matrix) (*Matrix, error) {
-	if b.rows != c.l.rows {
-		return nil, fmt.Errorf("linalg: cholesky solve %dx%d rhs for order %d: %w", b.rows, b.cols, c.l.rows, ErrShape)
-	}
 	out := NewMatrix(b.rows, b.cols)
-	col := make([]float64, b.rows)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < b.rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := c.SolveVec(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < b.rows; i++ {
-			out.Set(i, j, x[i])
-		}
+	if err := c.SolveTo(out, b, make([]float64, c.l.rows)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Inverse returns A⁻¹ given the factorization of A.
+// Inverse returns A⁻¹ given the factorization of A. It is InverseTo into a
+// fresh matrix.
 func (c *Cholesky) Inverse() (*Matrix, error) {
-	return c.Solve(Identity(c.l.rows))
+	n := c.l.rows
+	out := NewMatrix(n, n)
+	if err := c.InverseTo(out, make([]float64, n)); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // LU holds an LU factorization with partial pivoting: P A = L U.

@@ -14,9 +14,10 @@ import (
 // glmmState carries the working vectors of the Laplace/PIRLS fit so the
 // outer variance search can reuse the previous conditional modes as warm
 // starts, plus a workspace of per-iteration buffers: the variance search
-// calls pirls hundreds of times and each call used to allocate a fresh
-// (p+q)×(p+q) Hessian, Cholesky factor, gradient, and trial vector per
-// Newton step.
+// calls pirls hundreds of times, so the (p+q)×(p+q) Hessian, its Cholesky
+// factor, the gradient and the trial vector are allocated once here. The
+// Wald covariance is not part of a pirls call: covBeta computes it once,
+// from the factor the final evaluation leaves in chol.
 type glmmState struct {
 	d *design
 	u []float64 // joint (β, b) vector, length p+q
@@ -26,16 +27,16 @@ type glmmState struct {
 
 	lastBeta    []float64
 	lastBLUP    []float64
-	lastCovBeta []float64 // diagonal of the β block of H⁻¹
+	lastCovBeta []float64 // diagonal of the β block of H⁻¹, set by covBeta
 	lastBad     bool
 
 	// PIRLS scratch, sized once in newGLMMState.
 	eta, mu, w        []float64 // length n
 	grad, step, trial []float64 // length p+q
 	dInv              []float64 // length q, filled by the objective closure
-	h, hbb, hInv      *linalg.Matrix
+	h, hbb            *linalg.Matrix
 	chol, hbbChol     *linalg.Cholesky
-	colBuf            []float64 // length p+q
+	colBuf            []float64 // length p+q, covBeta's solve column
 }
 
 func newGLMMState(ctx context.Context, d *design) *glmmState {
@@ -53,7 +54,6 @@ func newGLMMState(ctx context.Context, d *design) *glmmState {
 		dInv:    make([]float64, d.q),
 		h:       linalg.NewMatrix(dim, dim),
 		hbb:     linalg.NewMatrix(d.q, d.q),
-		hInv:    linalg.NewMatrix(dim, dim),
 		chol:    linalg.NewCholeskyWorkspace(dim),
 		hbbChol: linalg.NewCholeskyWorkspace(d.q),
 		colBuf:  make([]float64, dim),
@@ -76,8 +76,8 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 		ll := 0.0
 		for i := 0; i < d.n; i++ {
 			e := 0.0
-			for j := 0; j < p; j++ {
-				e += d.spec.Fixed.At(i, j) * u[j]
+			for j, x := range d.spec.Fixed.RowView(i) {
+				e += x * u[j]
 			}
 			for _, c := range d.zCols(i) {
 				e += u[p+c]
@@ -105,8 +105,8 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 		// Linear predictor, mean, weights.
 		for i := 0; i < d.n; i++ {
 			e := 0.0
-			for j := 0; j < p; j++ {
-				e += d.spec.Fixed.At(i, j) * u[j]
+			for j, x := range d.spec.Fixed.RowView(i) {
+				e += x * u[j]
 			}
 			for _, c := range d.zCols(i) {
 				e += u[p+c]
@@ -126,8 +126,8 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 		}
 		for i := 0; i < d.n; i++ {
 			r := y[i] - mu[i]
-			for j := 0; j < p; j++ {
-				grad[j] += d.spec.Fixed.At(i, j) * r
+			for j, x := range d.spec.Fixed.RowView(i) {
+				grad[j] += x * r
 			}
 			for _, c := range d.zCols(i) {
 				grad[p+c] += r
@@ -143,16 +143,17 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 		for i := 0; i < d.n; i++ {
 			wi := w[i]
 			cols := d.zCols(i)
-			for a := 0; a < p; a++ {
-				xa := d.spec.Fixed.At(i, a)
+			x := d.spec.Fixed.RowView(i)
+			for a, xa := range x {
 				if xa == 0 {
 					continue
 				}
+				ha := h.RowView(a)
 				for b := a; b < p; b++ {
-					h.Add(a, b, wi*xa*d.spec.Fixed.At(i, b))
+					ha[b] += wi * xa * x[b]
 				}
 				for _, c := range cols {
-					h.Add(a, p+c, wi*xa)
+					ha[p+c] += wi * xa
 				}
 			}
 			for ai, ca := range cols {
@@ -161,17 +162,18 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 					if lo > hi {
 						lo, hi = hi, lo
 					}
-					h.Add(lo, hi, wi)
+					h.RowView(lo)[hi] += wi
 				}
 			}
 		}
 		for c := 0; c < q; c++ {
-			h.Add(p+c, p+c, dInv[c])
+			h.RowView(p + c)[p+c] += dInv[c]
 		}
 		// Mirror the upper triangle.
 		for a := 0; a < dim; a++ {
-			for b := 0; b < a; b++ {
-				h.Set(a, b, h.At(b, a))
+			ha := h.RowView(a)
+			for b := range ha[:a] {
+				ha[b] = h.RowView(b)[a]
 			}
 		}
 
@@ -217,8 +219,8 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 	// optimum; recompute weights at the final u.
 	for i := 0; i < d.n; i++ {
 		e := 0.0
-		for j := 0; j < p; j++ {
-			e += d.spec.Fixed.At(i, j) * u[j]
+		for j, x := range d.spec.Fixed.RowView(i) {
+			e += x * u[j]
 		}
 		for _, c := range d.zCols(i) {
 			e += u[p+c]
@@ -249,20 +251,33 @@ func (g *glmmState) pirls(dInv []float64) float64 {
 	}
 	logLik := cur - 0.5*(g.hbbChol.LogDet()+logDetD)
 
-	// Stash β, BLUPs, and Wald covariance diagonal from the full Hessian.
+	// Stash β and BLUPs; chol keeps the last Newton step's factor for
+	// covBeta.
 	g.lastBeta = append(g.lastBeta[:0], u[:p]...)
 	g.lastBLUP = append(g.lastBLUP[:0], u[p:]...)
-	g.lastCovBeta = g.lastCovBeta[:0]
-	hInv := g.hInv
-	if err := g.chol.InverseTo(hInv, g.colBuf); err != nil {
-		g.lastBad = true
-		return math.Inf(1)
-	}
-	for j := 0; j < p; j++ {
-		g.lastCovBeta = append(g.lastCovBeta, hInv.At(j, j))
-	}
 	g.lastBad = false
 	return -2 * logLik
+}
+
+// covBeta fills lastCovBeta with the diagonal of the β block of H⁻¹, the
+// Wald covariance, from the full-Hessian factor the last pirls call left in
+// chol. Column j of H⁻¹ is the solve against the j-th unit vector, so
+// solving only the p β columns gives those entries the bits a full
+// InverseTo would.
+func (g *glmmState) covBeta() error {
+	col := g.colBuf
+	g.lastCovBeta = g.lastCovBeta[:0]
+	for j := 0; j < g.d.p; j++ {
+		for i := range col {
+			col[i] = 0
+		}
+		col[j] = 1
+		if err := g.chol.SolveVecTo(col, col); err != nil {
+			return err
+		}
+		g.lastCovBeta = append(g.lastCovBeta, col[j])
+	}
+	return nil
 }
 
 // log1pExp computes log(1+e^x) without overflow.
@@ -287,14 +302,21 @@ func FitGLMMLogit(spec *Spec) (*Result, error) {
 // plus outer-search iteration counts, inner PIRLS iteration counts, and a
 // convergence gauge.
 func FitGLMMLogitCtx(ctx context.Context, spec *Spec) (*Result, error) {
+	res, _, err := fitGLMM(ctx, spec)
+	return res, err
+}
+
+// fitGLMM is FitGLMMLogitCtx that also returns the PIRLS workspace as the
+// final evaluation at the optimum left it.
+func fitGLMM(ctx context.Context, spec *Spec) (*Result, *glmmState, error) {
 	_, sp := obs.StartSpan(ctx, "mixed.FitGLMMLogit")
 	defer sp.End()
 	if err := spec.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, y := range spec.Response {
 		if y != 0 && y != 1 {
-			return nil, fmt.Errorf("mixed: logistic response[%d] = %v, want 0 or 1: %w", i, y, ErrSpec)
+			return nil, nil, fmt.Errorf("mixed: logistic response[%d] = %v, want 0 or 1: %w", i, y, ErrSpec)
 		}
 	}
 	sp.SetAttr("n", len(spec.Response))
@@ -318,12 +340,15 @@ func FitGLMMLogitCtx(ctx context.Context, spec *Spec) (*Result, error) {
 		MaxIter: 800, TolF: 1e-8, TolX: 1e-5, Step: 0.7,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("mixed: GLMM variance search: %w", err)
+		return nil, nil, fmt.Errorf("mixed: GLMM variance search: %w", err)
 	}
 	recordFitTelemetry(ctx, sp, "mixed.glmm", res)
 	dev := obj(res.X)
 	if st.lastBad || math.IsInf(dev, 1) {
-		return nil, fmt.Errorf("mixed: GLMM evaluation failed at optimum: %w", ErrFit)
+		return nil, nil, fmt.Errorf("mixed: GLMM evaluation failed at optimum: %w", ErrFit)
+	}
+	if err := st.covBeta(); err != nil {
+		return nil, nil, fmt.Errorf("mixed: GLMM covariance at optimum: %w", err)
 	}
 
 	randSD := make([]VarComp, len(spec.Random))
@@ -364,5 +389,5 @@ func FitGLMMLogitCtx(ctx context.Context, spec *Spec) (*Result, error) {
 		NGroups:       nGroups,
 		Converged:     res.Converged,
 		BLUPs:         blups,
-	}, nil
+	}, st, nil
 }

@@ -93,7 +93,7 @@ func TestGLMMPirlsAllocBounded(t *testing.T) {
 	for c := range dInv {
 		dInv[c] = 1
 	}
-	st.pirls(dInv) // warm-up also sizes lastBeta/lastBLUP/lastCovBeta
+	st.pirls(dInv) // warm-up also sizes lastBeta/lastBLUP
 	if st.lastBad {
 		t.Fatal("warm-up PIRLS failed")
 	}
@@ -102,6 +102,50 @@ func TestGLMMPirlsAllocBounded(t *testing.T) {
 	// the pre-rewrite kernel cost thousands (per-iteration Hessians).
 	if avg > 8 {
 		t.Errorf("pirls allocates %.1f per call, want <= 8", avg)
+	}
+}
+
+// TestGLMMCovarianceAtOptimum pins the Wald covariance to the optimum:
+// the fitted standard errors are, bit-for-bit, √diag of the β block of a
+// dense inverse of the PIRLS Hessian the final evaluation assembled, and
+// the evaluations of the variance search compute no covariance at all.
+func TestGLMMCovarianceAtOptimum(t *testing.T) {
+	spec := crossedSpec(true)
+	res, st, err := fitGLMM(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := linalg.NewCholesky(st.h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := ch.Inverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Fixed) != st.d.p {
+		t.Fatalf("%d fixed effects, want %d", len(res.Fixed), st.d.p)
+	}
+	for j, fe := range res.Fixed {
+		want := math.Sqrt(inv.At(j, j))
+		if math.Float64bits(fe.StdErr) != math.Float64bits(want) {
+			t.Errorf("%s: SE %v (bits %x), want √H⁻¹[%d][%d] = %v (bits %x)",
+				fe.Name, fe.StdErr, math.Float64bits(fe.StdErr), j, j, want, math.Float64bits(want))
+		}
+	}
+
+	search := newGLMMState(context.Background(), newDesign(spec))
+	dInv := make([]float64, search.d.q)
+	for _, prec := range []float64{1, 0.25, 4} {
+		for c := range dInv {
+			dInv[c] = prec
+		}
+		if dev := search.pirls(dInv); search.lastBad || math.IsInf(dev, 1) {
+			t.Fatalf("pirls at precision %v failed", prec)
+		}
+		if len(search.lastCovBeta) != 0 {
+			t.Fatalf("pirls at precision %v computed a covariance: %v", prec, search.lastCovBeta)
+		}
 	}
 }
 

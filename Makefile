@@ -58,7 +58,7 @@ opt-check:
 # The model-store gate: the store's single-flight/disk/fault tests plus
 # the streaming determinism matrix and model marshal round-trips under
 # -race, then a studysim identity sweep — cold disk cache, warm reuse,
-# -no-model-cache, -no-stream, jobs 1 vs 8 must all hash identical.
+# -no-model-cache, jobs 1 vs 8 must all hash identical.
 store-check:
 	./scripts/check.sh store
 

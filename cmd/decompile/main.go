@@ -22,6 +22,11 @@
 // -model-cache DIR persists the recovery model to a content-addressed
 // on-disk store so repeated -annotate runs skip training;
 // -no-model-cache trains fresh every run. Output is identical either way.
+//
+// -faults arms deterministic fault injection (see internal/fault) and
+// -retry-budget bounds transient retries; with a plan armed the run
+// manifest is printed to stderr after the run. The shared flags and their
+// teardown come from internal/cli.
 package main
 
 import (
@@ -29,21 +34,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
+	"decompstudy/internal/cli"
 	"decompstudy/internal/compile"
 	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
 	"decompstudy/internal/decomp"
-	"decompstudy/internal/fault"
 	"decompstudy/internal/modelstore"
 	"decompstudy/internal/namerec"
-	"decompstudy/internal/obs"
 	"decompstudy/internal/par"
 )
 
@@ -61,18 +63,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	funcName := fs.String("func", "", "only process the named function")
 	typeList := fs.String("types", "", "comma-separated extra type names for the parser")
 	snippet := fs.String("snippet", "", "operate on an embedded study snippet (AEEK, BAPL, POSTORDER, TC)")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file of the pipeline spans")
-	stats := fs.Bool("stats", false, "print the per-stage timing tree and metrics snapshot to stderr")
-	verbose := fs.Bool("v", false, "enable debug logging (shorthand for -log-level debug)")
-	logLevel := fs.String("log-level", "", "structured log level: debug, info, warn, error")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	faults := fs.String("faults", "", "fault-injection plan, e.g. 'seed=1; csrc.parse:error' (see internal/fault)")
-	retryBudget := fs.Int("retry-budget", fault.DefaultRetryBudget, "per-run retry budget for transient injected faults")
-	debugAddr := fs.String("debug-addr", "", "serve live /debug endpoints (metrics, spans, stage, pprof) on this address; port 0 picks a free port")
-	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
-	modelCache := fs.String("model-cache", "", "persist trained models to this directory, content-addressed (reruns skip training)")
-	noModelCache := fs.Bool("no-model-cache", false, "disable the in-process model store; every run trains fresh")
+	cf := cli.Register(fs, cli.Obs|cli.Faults|cli.ModelCache)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,33 +72,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "decompile: %v\n", err)
 		return 2
 	}
-	store, err := modelstore.FromFlags(*modelCache, *noModelCache)
-	if err != nil {
-		fmt.Fprintf(stderr, "decompile: %v\n", err)
-		return 2
-	}
 
-	ctx, finish, ecode := setupObs(obsOptions{
-		trace: *tracePath, stats: *stats, verbose: *verbose,
-		logLevel: *logLevel, cpuprofile: *cpuprofile, memprofile: *memprofile,
-		debugAddr: *debugAddr, debugSample: *debugSample,
-	}, "decompile", stderr)
-	if ecode != 0 {
-		return ecode
+	ctx, finish, code := cf.Setup(stderr)
+	if code != 0 {
+		return code
 	}
+	defer func() { code = finish(code) }()
 	ctx = par.WithJobs(ctx, *jobs)
-	if store != nil {
-		ctx = modelstore.With(ctx, store)
-	}
-	ctx, ecode = setupFaults(ctx, *faults, *retryBudget, "decompile", stderr)
-	if ecode != 0 {
-		return ecode
-	}
-	defer func() {
-		if err := finish(); err != nil && code == 0 {
-			code = 1
-		}
-	}()
 
 	if *snippet != "" {
 		return runSnippet(ctx, *snippet, level, *annotate, *showIR, stdout, stderr)
@@ -142,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	var annotator *namerec.Annotator
 	if *annotate {
-		model, err := recoveryModel(ctx)
+		model, err := modelstore.From(ctx).NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
 		if err != nil {
 			fmt.Fprintf(stderr, "decompile: %v\n", err)
 			return 1
@@ -175,19 +146,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout, d.Source())
 	}
 	return 0
-}
-
-// recoveryModel trains (or, with a store in the context, loads) the
-// corpus-trained name recovery model.
-func recoveryModel(ctx context.Context) (*namerec.Model, error) {
-	if st := modelstore.From(ctx); st != nil {
-		return st.NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
-	}
-	training, err := corpus.TrainingFiles()
-	if err != nil {
-		return nil, err
-	}
-	return namerec.TrainModelCtx(ctx, training)
 }
 
 // optimize runs the object through the verified optimizer when level is
@@ -237,126 +195,4 @@ func runSnippet(ctx context.Context, id string, level opt.Level, annotate, showI
 		fmt.Fprintln(stdout, p.HexRays.Source())
 	}
 	return 0
-}
-
-// setupFaults arms deterministic fault injection from a -faults plan spec
-// and attaches a run manifest. A non-zero code means the spec was invalid.
-func setupFaults(ctx context.Context, spec string, retryBudget int, prog string, stderr io.Writer) (context.Context, int) {
-	ctx = fault.WithManifest(ctx, fault.NewManifest())
-	if spec == "" {
-		return ctx, 0
-	}
-	plan, err := fault.ParsePlan(spec)
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-		return ctx, 2
-	}
-	return fault.With(ctx, fault.NewInjector(plan, retryBudget)), 0
-}
-
-// obsOptions collects the shared observability flag values.
-type obsOptions struct {
-	trace, logLevel        string
-	stats, verbose         bool
-	cpuprofile, memprofile string
-	debugAddr              string
-	debugSample            time.Duration
-}
-
-// setupObs builds the telemetry handle for a CLI run and returns the
-// context to thread through the pipeline plus a finish func that flushes
-// the trace file, stats report, and profiles. A non-zero code means a flag
-// was invalid and the caller should exit with it. With debugAddr set the
-// run also gets a live /debug HTTP surface plus a runtime sampler, both
-// shut down by finish.
-func setupObs(opt obsOptions, prog string, stderr io.Writer) (context.Context, func() error, int) {
-	o := &obs.Obs{}
-	if opt.trace != "" || opt.stats || opt.debugAddr != "" {
-		o.Trace = obs.NewCollector()
-		o.Metrics = obs.NewRegistry()
-	}
-	if opt.verbose || opt.logLevel != "" {
-		level := slog.LevelDebug
-		if opt.logLevel != "" {
-			var err error
-			level, err = obs.ParseLevel(opt.logLevel)
-			if err != nil {
-				fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-				return nil, nil, 2
-			}
-		}
-		o.Log = obs.NewLogger(stderr, level)
-	}
-	ctx := obs.With(context.Background(), o)
-
-	var sampler *obs.Sampler
-	var debug *obs.DebugListener
-	if opt.debugAddr != "" {
-		sampler = obs.NewSampler(o.Metrics, opt.debugSample)
-		sampler.Start()
-		d, err := obs.ServeDebug(opt.debugAddr, o)
-		if err != nil {
-			sampler.Stop()
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return nil, nil, 1
-		}
-		debug = d
-		fmt.Fprintf(stderr, "%s: debug server listening on http://%s/debug/\n", prog, d.Addr())
-	}
-
-	var stopCPU func() error
-	if opt.cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(opt.cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return nil, nil, 1
-		}
-		stopCPU = stop
-	}
-	finish := func() error {
-		var firstErr error
-		fail := func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if debug != nil {
-			if err := debug.Close(); err != nil {
-				fmt.Fprintf(stderr, "%s: debug server: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		sampler.Stop()
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintf(stderr, "%s: cpu profile: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if opt.memprofile != "" {
-			if err := obs.WriteHeapProfile(opt.memprofile); err != nil {
-				fmt.Fprintf(stderr, "%s: heap profile: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if o.Trace != nil && opt.trace != "" {
-			f, err := os.Create(opt.trace)
-			if err == nil {
-				err = o.Trace.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "%s: trace: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if opt.stats && o.Trace != nil {
-			fmt.Fprintf(stderr, "\nPer-stage timing tree:\n\n%s", o.Trace.TimingTree())
-			fmt.Fprintf(stderr, "\nMetrics snapshot:\n\n%s", o.Metrics.Snapshot().String())
-		}
-		return firstErr
-	}
-	return ctx, finish, 0
 }

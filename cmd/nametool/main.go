@@ -19,7 +19,8 @@
 //
 // -model-cache DIR persists the embedding model to a content-addressed
 // on-disk store so repeated runs skip training; -no-model-cache trains
-// fresh every run. Output is identical either way.
+// fresh every run. Output is identical either way. The shared flags and
+// their teardown come from internal/cli.
 package main
 
 import (
@@ -27,18 +28,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
+	"decompstudy/internal/cli"
 	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/metrics"
 	"decompstudy/internal/modelstore"
-	"decompstudy/internal/obs"
 )
 
 func main() {
@@ -48,26 +47,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("nametool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file of the pipeline spans")
-	stats := fs.Bool("stats", false, "print the per-stage timing tree and metrics snapshot to stderr")
-	verbose := fs.Bool("v", false, "enable debug logging (shorthand for -log-level debug)")
-	logLevel := fs.String("log-level", "", "structured log level: debug, info, warn, error")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	debugAddr := fs.String("debug-addr", "", "serve live /debug endpoints (metrics, spans, stage, pprof) on this address; port 0 picks a free port")
-	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
 	optLevel := fs.Int("opt", 0, "optimization level (0-2) applied to the snippet IR before extracting renamings")
-	modelCache := fs.String("model-cache", "", "persist trained models to this directory, content-addressed (reruns skip training)")
-	noModelCache := fs.Bool("no-model-cache", false, "disable the in-process model store; every run trains fresh")
+	cf := cli.Register(fs, cli.Obs|cli.ModelCache)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	level, err := opt.ParseLevel(*optLevel)
-	if err != nil {
-		fmt.Fprintf(stderr, "nametool: %v\n", err)
-		return 2
-	}
-	store, err := modelstore.FromFlags(*modelCache, *noModelCache)
 	if err != nil {
 		fmt.Fprintf(stderr, "nametool: %v\n", err)
 		return 2
@@ -78,24 +63,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	ctx, finish, ecode := setupObs(obsOptions{
-		trace: *tracePath, stats: *stats, verbose: *verbose,
-		logLevel: *logLevel, cpuprofile: *cpuprofile, memprofile: *memprofile,
-		debugAddr: *debugAddr, debugSample: *debugSample,
-	}, "nametool", stderr)
-	if ecode != 0 {
-		return ecode
+	ctx, finish, code := cf.Setup(stderr)
+	if code != 0 {
+		return code
 	}
-	if store != nil {
-		ctx = modelstore.With(ctx, store)
-	}
-	defer func() {
-		if err := finish(); err != nil && code == 0 {
-			code = 1
-		}
-	}()
+	defer func() { code = finish(code) }()
 
-	model, err := trainModel(ctx)
+	ctxs, err := corpus.EmbeddingContexts()
+	if err != nil {
+		fmt.Fprintf(stderr, "nametool: %v\n", err)
+		return 1
+	}
+	model, err := modelstore.From(ctx).EmbedModel(ctx, ctxs, &embed.Config{Dim: 24})
 	if err != nil {
 		fmt.Fprintf(stderr, "nametool: %v\n", err)
 		return 1
@@ -136,18 +115,6 @@ func usage(w io.Writer) {
   nametool [flags] pair CANDIDATE REFERENCE
   nametool [flags] snippet AEEK|BAPL|POSTORDER|TC
   nametool [flags] nearest NAME [K]`)
-}
-
-func trainModel(ctx context.Context) (*embed.Model, error) {
-	ctxs, err := corpus.EmbeddingContexts()
-	if err != nil {
-		return nil, err
-	}
-	cfg := &embed.Config{Dim: 24}
-	if st := modelstore.From(ctx); st != nil {
-		return st.EmbedModel(ctx, ctxs, cfg)
-	}
-	return embed.TrainCtx(ctx, ctxs, cfg)
 }
 
 func pair(cand, ref string, model *embed.Model, stdout io.Writer) int {
@@ -203,105 +170,4 @@ func nearest(name string, k int, model *embed.Model, stdout, stderr io.Writer) i
 	}
 	fmt.Fprintf(stdout, "nearest subtokens to %q: %s\n", name, strings.Join(near, ", "))
 	return 0
-}
-
-// obsOptions and setupObs mirror cmd/decompile's observability wiring.
-type obsOptions struct {
-	trace, logLevel        string
-	stats, verbose         bool
-	cpuprofile, memprofile string
-	debugAddr              string
-	debugSample            time.Duration
-}
-
-func setupObs(opt obsOptions, prog string, stderr io.Writer) (context.Context, func() error, int) {
-	o := &obs.Obs{}
-	if opt.trace != "" || opt.stats || opt.debugAddr != "" {
-		o.Trace = obs.NewCollector()
-		o.Metrics = obs.NewRegistry()
-	}
-	if opt.verbose || opt.logLevel != "" {
-		level := slog.LevelDebug
-		if opt.logLevel != "" {
-			var err error
-			level, err = obs.ParseLevel(opt.logLevel)
-			if err != nil {
-				fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-				return nil, nil, 2
-			}
-		}
-		o.Log = obs.NewLogger(stderr, level)
-	}
-	ctx := obs.With(context.Background(), o)
-
-	var sampler *obs.Sampler
-	var debug *obs.DebugListener
-	if opt.debugAddr != "" {
-		sampler = obs.NewSampler(o.Metrics, opt.debugSample)
-		sampler.Start()
-		d, err := obs.ServeDebug(opt.debugAddr, o)
-		if err != nil {
-			sampler.Stop()
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return nil, nil, 1
-		}
-		debug = d
-		fmt.Fprintf(stderr, "%s: debug server listening on http://%s/debug/\n", prog, d.Addr())
-	}
-
-	var stopCPU func() error
-	if opt.cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(opt.cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return nil, nil, 1
-		}
-		stopCPU = stop
-	}
-	finish := func() error {
-		var firstErr error
-		fail := func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if debug != nil {
-			if err := debug.Close(); err != nil {
-				fmt.Fprintf(stderr, "%s: debug server: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		sampler.Stop()
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintf(stderr, "%s: cpu profile: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if opt.memprofile != "" {
-			if err := obs.WriteHeapProfile(opt.memprofile); err != nil {
-				fmt.Fprintf(stderr, "%s: heap profile: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if o.Trace != nil && opt.trace != "" {
-			f, err := os.Create(opt.trace)
-			if err == nil {
-				err = o.Trace.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "%s: trace: %v\n", prog, err)
-				fail(err)
-			}
-		}
-		if opt.stats && o.Trace != nil {
-			fmt.Fprintf(stderr, "\nPer-stage timing tree:\n\n%s", o.Trace.TimingTree())
-			fmt.Fprintf(stderr, "\nMetrics snapshot:\n\n%s", o.Metrics.Snapshot().String())
-		}
-		return firstErr
-	}
-	return ctx, finish, 0
 }

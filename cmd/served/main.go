@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -40,7 +39,7 @@ import (
 	"syscall"
 	"time"
 
-	"decompstudy/internal/modelstore"
+	"decompstudy/internal/cli"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/serve"
 )
@@ -62,16 +61,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	studyQueue := fs.Int("study-queue", serve.DefaultStudyQueue, "/v1/study wait queue depth")
 	noBatch := fs.Bool("no-batch", false, "serve annotate/metrics per request instead of batched (benchmark baseline)")
 	allowFault := fs.Bool("allow-fault-header", false, "honor X-Fault-Plan chaos headers (off by default)")
-	modelCache := fs.String("model-cache", "", "persist trained models to this directory, content-addressed")
-	noModelCache := fs.Bool("no-model-cache", false, "disable the in-process model store; train fresh at startup")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
 	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
-	verbose := fs.Bool("v", false, "enable debug logging (shorthand for -log-level debug)")
-	logLevel := fs.String("log-level", "", "structured log level: debug, info, warn, error")
+	cf := cli.Register(fs, cli.Log|cli.ModelCache)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	store, err := modelstore.FromFlags(*modelCache, *noModelCache)
+	logger, err := cf.Logger(stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "served: %v\n", err)
+		return 2
+	}
+	store, err := cf.Store()
 	if err != nil {
 		fmt.Fprintf(stderr, "served: %v\n", err)
 		return 2
@@ -79,18 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// A server always carries full telemetry: the /debug surface is part
 	// of the API, not an opt-in.
-	o := &obs.Obs{Trace: obs.NewCollector(), Metrics: obs.NewRegistry()}
-	if *verbose || *logLevel != "" {
-		level := slog.LevelDebug
-		if *logLevel != "" {
-			level, err = obs.ParseLevel(*logLevel)
-			if err != nil {
-				fmt.Fprintf(stderr, "served: %v\n", err)
-				return 2
-			}
-		}
-		o.Log = obs.NewLogger(stderr, level)
-	}
+	o := &obs.Obs{Trace: obs.NewCollector(), Metrics: obs.NewRegistry(), Log: logger}
 	sampler := obs.NewSampler(o.Metrics, *debugSample)
 	sampler.Start()
 	defer sampler.Stop()
@@ -114,6 +104,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "served: models warm in %s (jobs=%d batch=%d/%s queue=%d no-batch=%v)\n",
 		time.Since(warmStart).Round(time.Millisecond), *jobs, *batchSize, *batchDelay, *queue, *noBatch)
 
+	// Catch SIGTERM/SIGINT before the address is published: a stop sent
+	// right after discovery must drain, never kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "served: %v\n", err)
@@ -133,10 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(lis) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case err := <-errc:

@@ -29,27 +29,24 @@
 //
 // Performance flags: -model-cache DIR persists trained models to a
 // content-addressed on-disk store so reruns skip training entirely;
-// -no-model-cache disables the model store (every run trains fresh);
-// -no-stream falls back to the barrier-synchronized pipeline instead of
-// the default cross-stage streaming DAG. All three are output-invariant:
-// artifacts are byte-identical with any combination.
+// -no-model-cache disables the model store (every run trains fresh). Both
+// are output-invariant: artifacts are byte-identical either way, and at
+// any -jobs value.
+//
+// The shared flags and their teardown come from internal/cli.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"strings"
 
+	"decompstudy/internal/cli"
 	"decompstudy/internal/core"
 	"decompstudy/internal/experiments"
-	"decompstudy/internal/fault"
-	"decompstudy/internal/modelstore"
-	"decompstudy/internal/obs"
 	"decompstudy/internal/par"
 )
 
@@ -66,25 +63,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	csv := fs.Bool("csv", false, "dump the anonymized response dataset as CSV")
 	optLevel := fs.Int("opt", 0, "optimization level snippets are prepared at (0, 1, or 2; 0 keeps output byte-identical)")
 	export := fs.String("export", "", "write the replication package (CSV + JSON) to this directory")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file of the pipeline spans")
-	stats := fs.Bool("stats", false, "print the per-stage timing tree and metrics snapshot to stderr")
-	verbose := fs.Bool("v", false, "enable debug logging (shorthand for -log-level debug)")
-	logLevel := fs.String("log-level", "", "structured log level: debug, info, warn, error")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	faults := fs.String("faults", "", "fault-injection plan, e.g. 'seed=1; csrc.parse:error,key=AEEK' (see internal/fault)")
-	retryBudget := fs.Int("retry-budget", fault.DefaultRetryBudget, "per-run retry budget for transient injected faults")
-	debugAddr := fs.String("debug-addr", "", "serve live /debug endpoints (metrics, spans, stage, pprof) on this address; port 0 picks a free port")
-	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
-	modelCache := fs.String("model-cache", "", "persist trained models to this directory, content-addressed (reruns skip training)")
-	noModelCache := fs.Bool("no-model-cache", false, "disable the in-process model store; every run trains fresh")
-	noStream := fs.Bool("no-stream", false, "use the barrier-synchronized pipeline instead of the streaming DAG (outputs are identical)")
+	cf := cli.Register(fs, cli.Obs|cli.Faults|cli.ModelCache)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	store, err := modelstore.FromFlags(*modelCache, *noModelCache)
-	if err != nil {
-		fmt.Fprintf(stderr, "studysim: %v\n", err)
 		return 2
 	}
 
@@ -101,114 +81,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	// Assemble the telemetry handle. -artifact telemetry implies tracing and
-	// metrics even without -stats/-trace, since the report renders them;
-	// -debug-addr implies both, since the /debug surface serves them live.
-	o := &obs.Obs{}
-	if *tracePath != "" || *stats || name == "telemetry" || *debugAddr != "" {
-		o.Trace = obs.NewCollector()
-		o.Metrics = obs.NewRegistry()
+	// -artifact telemetry renders the trace and metrics, so it needs them
+	// even without -stats/-trace.
+	cf.Collect = name == "telemetry"
+	ctx, finish, code := cf.Setup(stderr)
+	if code != 0 {
+		return code
 	}
-	if *verbose || *logLevel != "" {
-		level := slog.LevelDebug
-		if *logLevel != "" {
-			var err error
-			level, err = obs.ParseLevel(*logLevel)
-			if err != nil {
-				fmt.Fprintf(stderr, "studysim: %v\n", err)
-				return 2
-			}
-		}
-		o.Log = obs.NewLogger(stderr, level)
-	}
-	ctx := par.WithJobs(obs.With(context.Background(), o), *jobs)
-	if store != nil {
-		ctx = modelstore.With(ctx, store)
-	}
+	defer func() { code = finish(code) }()
+	ctx = par.WithJobs(ctx, *jobs)
 
-	// Start the live debug surface before the pipeline so a scrape observes
-	// the run from its first span. The sampler keeps the runtime gauges
-	// fresh between scrapes; both shut down when the run ends.
-	if *debugAddr != "" {
-		sampler := obs.NewSampler(o.Metrics, *debugSample)
-		sampler.Start()
-		debug, err := obs.ServeDebug(*debugAddr, o)
-		if err != nil {
-			sampler.Stop()
-			fmt.Fprintf(stderr, "studysim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "studysim: debug server listening on http://%s/debug/\n", debug.Addr())
-		defer func() {
-			if err := debug.Close(); err != nil {
-				fmt.Fprintf(stderr, "studysim: debug server: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-			sampler.Stop()
-		}()
-	}
-
-	// Arm fault injection and attach a run manifest so exclusions and
-	// retries can be reported after the run.
-	manifest := fault.NewManifest()
-	ctx = fault.WithManifest(ctx, manifest)
-	if *faults != "" {
-		plan, err := fault.ParsePlan(*faults)
-		if err != nil {
-			fmt.Fprintf(stderr, "studysim: %v\n", err)
-			return 2
-		}
-		ctx = fault.With(ctx, fault.NewInjector(plan, *retryBudget))
-	}
-	defer func() {
-		if *faults != "" || !manifest.Empty() {
-			fmt.Fprintf(stderr, "\n%s", manifest.Report())
-		}
-	}()
-
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "studysim: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(stderr, "studysim: cpu profile: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
-	}
-	defer func() {
-		if *memprofile != "" {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil {
-				fmt.Fprintf(stderr, "studysim: heap profile: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-	}()
-	defer func() {
-		if o.Trace != nil && *tracePath != "" {
-			if err := writeTrace(o.Trace, *tracePath); err != nil {
-				fmt.Fprintf(stderr, "studysim: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		if *stats && o.Trace != nil {
-			fmt.Fprintf(stderr, "\nPer-stage timing tree:\n\n%s", o.Trace.TimingTree())
-			fmt.Fprintf(stderr, "\nMetrics snapshot:\n\n%s", o.Metrics.Snapshot().String())
-		}
-	}()
-
-	r, err := experiments.NewRunnerCtx(ctx, &core.Config{Seed: *seed, Jobs: *jobs, OptLevel: *optLevel, NoStream: *noStream})
+	r, err := experiments.NewRunnerCtx(ctx, &core.Config{Seed: *seed, Jobs: *jobs, OptLevel: *optLevel})
 	if err != nil {
 		fmt.Fprintf(stderr, "studysim: %v\n", err)
 		return 1
@@ -238,16 +121,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprint(stdout, out)
 	return 0
-}
-
-func writeTrace(c *obs.Collector, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := c.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
-	}
-	return f.Close()
 }

@@ -76,12 +76,6 @@ type Config struct {
 	// The snippets must match OptLevel; Prepared is shared read-only, which
 	// is safe because a Prepared is immutable after preparation.
 	Prepared []*corpus.Prepared
-	// NoStream disables cross-stage streaming and runs the classic barrier
-	// pipeline (prepare → train → survey → metrics → panel, each stage
-	// completing before the next starts). The two paths produce
-	// byte-identical studies; the barrier path exists as a determinism
-	// cross-check and debugging aid (-no-stream).
-	NoStream bool
 }
 
 func (c *Config) defaults() Config {
@@ -101,7 +95,6 @@ func (c *Config) defaults() Config {
 	}
 	out.OptLevel = c.OptLevel
 	out.Prepared = c.Prepared
-	out.NoStream = c.NoStream
 	return out
 }
 
@@ -143,15 +136,13 @@ func New(cfg *Config) (*Study, error) {
 // model training, survey administration, metric evaluation, expert panel)
 // reports its own child span when the context carries an obs handle.
 //
-// By default the stages run as a streaming DAG: embedding training,
-// recovery training, and survey administration start immediately and
-// overlap with corpus preparation, and each snippet flows into metric
-// evaluation the moment it is prepared (and the embedding model is ready)
-// instead of waiting for the whole corpus behind a barrier. Config.NoStream
-// selects the classic barrier pipeline; both produce byte-identical
-// studies. When the context carries a modelstore (modelstore.With), the
-// training stages resolve through it — a warm store skips training
-// entirely and returns a bit-identical cached model.
+// The stages run as a streaming DAG: embedding training, recovery
+// training, and survey administration start immediately and overlap with
+// corpus preparation, and each snippet flows into metric evaluation the
+// moment it is prepared (and the embedding model is ready) instead of
+// waiting for the whole corpus. When the context carries a modelstore
+// (modelstore.With), the training stages resolve through it — a warm store
+// skips training entirely and returns a bit-identical cached model.
 func NewCtx(ctx context.Context, cfg *Config) (*Study, error) {
 	c := cfg.defaults()
 	if c.Jobs > 0 {
@@ -169,83 +160,30 @@ func NewCtx(ctx context.Context, cfg *Config) (*Study, error) {
 		ctx = fault.WithManifest(ctx, man)
 	}
 	s := &Study{Config: c, ctx: ctx, Manifest: man}
-
-	var err error
-	if c.NoStream {
-		err = s.buildBarrier(ctx, c)
-	} else {
-		err = s.buildStream(ctx, c)
-	}
-	if err != nil {
+	if err := s.build(ctx, c); err != nil {
 		return nil, err
 	}
 	s.finishTelemetry(ctx, sp, man)
 	return s, nil
 }
 
-// buildBarrier is the classic pipeline: every stage completes before the
-// next starts. It is the reference semantics the streaming path must
-// reproduce byte for byte.
-func (s *Study) buildBarrier(ctx context.Context, c Config) error {
-	log := obs.Logger(ctx)
-	if err := s.prepareCorpus(ctx, c); err != nil {
-		return err
-	}
-
-	var err error
-	s.Embed, err = s.trainEmbed(ctx, c)
-	if err != nil {
-		return err
-	}
-	s.Recovery, err = s.trainRecovery(ctx)
-	if err != nil {
-		return err
-	}
-	s.Dataset, err = s.runSurvey(ctx, c)
-	if err != nil {
-		return err
-	}
-
-	// Intrinsic metrics plus structural-complexity covariates per snippet
-	// (RQ5 inputs). A snippet whose evaluation fails is excluded from the
-	// metric tables (and recorded in the manifest) instead of killing the
-	// run — the behavioral analyses don't depend on it.
-	s.MetricReports = map[string]metrics.Report{}
-	s.Complexity = map[string]analysis.Covariates{}
-	var sets []qualcode.PairSet
-	for _, p := range s.Prepared {
-		rep, cov, err := evalSnippet(ctx, p, s.Embed)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("%w: metrics for %s: %w", ErrPipeline, p.Snippet.ID, err)
-			}
-			fault.Exclude(ctx, "metrics", p.Snippet.ID, err)
-			obs.AddCount(ctx, "metrics.evaluate.excluded", 1)
-			log.Error("metric evaluation excluded", "snippet", p.Snippet.ID, "err", err)
-			continue
-		}
-		s.Complexity[p.Snippet.ID] = cov
-		s.MetricReports[p.Snippet.ID] = rep
-		sets = append(sets, pairSet(p))
-	}
-	return s.runPanel(ctx, c, sets)
-}
-
-// buildStream is the streaming DAG: the shared stages (embedding training,
-// recovery training, survey) start immediately as tasks, and corpus
-// preparation is fused with per-snippet metric evaluation — snippet A's
-// metrics run while snippet B is still being compiled, bounded by the
-// context's worker count. Results are collected in input order and error
-// precedence follows the barrier path exactly (prepare-all-lost, embed,
-// recovery, survey, per-snippet metrics, panel), so the two paths are
-// observationally identical on success and on every tested failure.
-func (s *Study) buildStream(ctx context.Context, c Config) error {
+// build schedules the study: the shared stages (embedding training,
+// recovery training, survey) start immediately as tasks, and each snippet
+// is one pipelined unit — prepare (or reuse Config.Prepared), then the
+// metric battery as soon as the embedding model lands — bounded by the
+// context's worker count. Results are collected in input order.
+//
+// Error precedence is part of the contract (errors.Is chains and error
+// text depend on it): losing every snippet, then embedding training, then
+// recovery training, then the survey, then a cancelled per-snippet metric
+// evaluation, then the expert panel. Per-snippet preparation and metric
+// failures are excluded and recorded in the manifest instead.
+func (s *Study) build(ctx context.Context, c Config) error {
 	log := obs.Logger(ctx)
 	level, err := opt.ParseLevel(c.OptLevel)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrPipeline, err)
 	}
-	jobs := par.JobsFrom(ctx)
 
 	embedT := par.Go(ctx, func(ctx context.Context) (*embed.Model, error) {
 		return s.trainEmbed(ctx, c)
@@ -257,10 +195,13 @@ func (s *Study) buildStream(ctx context.Context, c Config) error {
 		return s.runSurvey(ctx, c)
 	})
 
-	// One pipelined unit per snippet: prepare (unless the caller supplied a
-	// prepared corpus), then — as soon as the embedding model lands — the
-	// metric battery. MapAll never cancels on item failure, mirroring the
-	// barrier path's graceful per-item degradation.
+	snips := corpus.Snippets()
+	if c.Prepared != nil {
+		snips = make([]*corpus.Snippet, len(c.Prepared))
+		for i, p := range c.Prepared {
+			snips[i] = p.Snippet
+		}
+	}
 	type snippetOut struct {
 		p       *corpus.Prepared
 		rep     metrics.Report
@@ -269,41 +210,12 @@ func (s *Study) buildStream(ctx context.Context, c Config) error {
 		prepErr error
 		evalErr error
 	}
-	eval := func(ctx context.Context, p *corpus.Prepared) snippetOut {
-		out := snippetOut{p: p}
-		em, err := embedT.Wait(ctx)
-		if err != nil {
-			// Embedding training failed: the whole run is about to fail with
-			// that error, so the metric stage is skipped without recording
-			// per-snippet exclusions — exactly what the barrier path does.
-			return out
-		}
-		out.rep, out.cov, out.evalErr = evalSnippet(ctx, p, em)
-		out.evaled = out.evalErr == nil
-		return out
-	}
-
-	var outs []snippetOut
-	var snips []*corpus.Snippet
-	if c.Prepared != nil {
-		s.Prepared = c.Prepared
-		log.Debug("corpus reused", "snippets", len(s.Prepared))
-		var werrs []error
-		outs, werrs = par.MapAll(ctx, jobs, c.Prepared, func(ctx context.Context, _ int, p *corpus.Prepared) (snippetOut, error) {
-			return eval(ctx, p), nil
-		})
-		// A worker panic (or a cancellation skip) leaves a zero snippetOut
-		// with the error in werrs; surface it as the snippet's eval error so
-		// the collection below handles it like any metric failure.
-		for i := range outs {
-			if werrs[i] != nil && outs[i].evalErr == nil {
-				outs[i] = snippetOut{p: c.Prepared[i], evalErr: werrs[i]}
-			}
-		}
-	} else {
-		snips = corpus.Snippets()
-		var werrs []error
-		outs, werrs = par.MapAll(ctx, jobs, snips, func(ctx context.Context, _ int, sn *corpus.Snippet) (snippetOut, error) {
+	// MapAll never cancels on item failure: each snippet degrades on its own.
+	outs, werrs := par.MapAll(ctx, par.JobsFrom(ctx), snips, func(ctx context.Context, i int, sn *corpus.Snippet) (snippetOut, error) {
+		var out snippetOut
+		if c.Prepared != nil {
+			out.p = c.Prepared[i]
+		} else {
 			p, err := corpus.PrepareOptCtx(ctx, sn, level)
 			if err != nil {
 				obs.AddCount(ctx, "corpus.prepare.failed", 1)
@@ -311,44 +223,49 @@ func (s *Study) buildStream(ctx context.Context, c Config) error {
 				return snippetOut{prepErr: err}, nil
 			}
 			obs.AddCount(ctx, "corpus.prepare.ok", 1)
-			return eval(ctx, p), nil
-		})
-		// A worker panic during preparation is recovered by par's guard and
-		// lands in werrs with a zero snippetOut; fold it into the per-item
-		// prepare failures, matching the barrier path (PrepareSnippetsOpt
-		// sees the same guard-wrapped error from its own MapAll).
-		for i := range outs {
-			if werrs[i] != nil && outs[i].p == nil && outs[i].prepErr == nil {
-				outs[i].prepErr = werrs[i]
-			}
+			out.p = p
 		}
+		// A failed embedding training fails the whole run below, so the
+		// metric stage is skipped without recording per-snippet exclusions.
+		em, err := embedT.Wait(ctx)
+		if err != nil {
+			return out, nil
+		}
+		out.rep, out.cov, out.evalErr = evalSnippet(ctx, out.p, em)
+		out.evaled = out.evalErr == nil
+		return out, nil
+	})
 
-		// Assemble the prepared corpus in input order with the barrier
-		// path's partial-failure semantics: failures are excluded and
-		// joined; losing every snippet is fatal.
-		var failed []error
-		for i, o := range outs {
-			if o.prepErr != nil {
-				failed = append(failed, o.prepErr)
-				if !isCancellation(o.prepErr) {
-					fault.Exclude(ctx, "corpus", snips[i].ID, o.prepErr)
-				}
-				continue
-			}
-			s.Prepared = append(s.Prepared, o.p)
+	// A worker panic (or a cancellation skip) leaves a zero snippetOut with
+	// the error in werrs: a reused snippet treats it as a metric failure, a
+	// fresh one as a preparation failure. Then assemble the prepared corpus
+	// in input order: failures are excluded and joined, and losing every
+	// snippet is fatal.
+	var failed []error
+	for i := range outs {
+		if werrs[i] != nil && c.Prepared != nil {
+			outs[i] = snippetOut{p: c.Prepared[i], evalErr: werrs[i]}
+		} else if werrs[i] != nil {
+			outs[i] = snippetOut{prepErr: werrs[i]}
 		}
-		if len(failed) > 0 {
-			err := errors.Join(failed...)
-			if len(s.Prepared) == 0 {
-				return fmt.Errorf("%w: preparing snippets: %w", ErrPipeline, err)
+		if err := outs[i].prepErr; err != nil {
+			failed = append(failed, err)
+			if !isCancellation(err) {
+				fault.Exclude(ctx, "corpus", snips[i].ID, err)
 			}
-			log.Error("continuing with partial corpus", "prepared", len(s.Prepared), "err", err)
+			continue
 		}
-		log.Debug("corpus prepared", "snippets", len(s.Prepared))
+		s.Prepared = append(s.Prepared, outs[i].p)
 	}
+	if len(failed) > 0 {
+		err := errors.Join(failed...)
+		if len(s.Prepared) == 0 {
+			return fmt.Errorf("%w: preparing snippets: %w", ErrPipeline, err)
+		}
+		log.Error("continuing with partial corpus", "prepared", len(s.Prepared), "err", err)
+	}
+	log.Debug("corpus ready", "snippets", len(s.Prepared), "reused", c.Prepared != nil)
 
-	// Shared-stage failures surface in barrier order, so errors.Is
-	// contracts and error text match the reference path.
 	if s.Embed, err = embedT.Wait(ctx); err != nil {
 		return err
 	}
@@ -385,68 +302,24 @@ func (s *Study) buildStream(ctx context.Context, c Config) error {
 	return s.runPanel(ctx, c, sets)
 }
 
-// prepareCorpus runs (or reuses) corpus preparation with the pipeline's
-// partial-failure tolerance: per-snippet failures are excluded, losing
-// everything is fatal.
-func (s *Study) prepareCorpus(ctx context.Context, c Config) error {
-	log := obs.Logger(ctx)
-	if c.Prepared != nil {
-		s.Prepared = c.Prepared
-		log.Debug("corpus reused", "snippets", len(s.Prepared))
-		return nil
-	}
-	level, err := opt.ParseLevel(c.OptLevel)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrPipeline, err)
-	}
-	s.Prepared, err = corpus.PrepareAllOptCtx(ctx, level)
-	if err != nil && len(s.Prepared) == 0 {
-		return fmt.Errorf("%w: preparing snippets: %w", ErrPipeline, err)
-	}
-	if err != nil {
-		log.Error("continuing with partial corpus", "prepared", len(s.Prepared), "err", err)
-	}
-	log.Debug("corpus prepared", "snippets", len(s.Prepared))
-	return nil
-}
-
-// trainEmbed resolves the embedding model: through the context's model
-// store when one is attached (training only on a true miss), directly
-// otherwise. The store returns bit-identical models, so the two routes are
-// indistinguishable downstream.
+// trainEmbed resolves the embedding model through the context's model
+// store, which trains directly when no store is attached. The store returns
+// bit-identical models, so the two routes are indistinguishable downstream.
 func (s *Study) trainEmbed(ctx context.Context, c Config) (*embed.Model, error) {
 	ctxs, err := corpus.EmbeddingContexts()
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedding contexts: %w", ErrPipeline, err)
 	}
-	cfg := &embed.Config{Dim: c.EmbedDim}
-	var m *embed.Model
-	if st := modelstore.From(ctx); st != nil {
-		m, err = st.EmbedModel(ctx, ctxs, cfg)
-	} else {
-		m, err = embed.TrainCtx(ctx, ctxs, cfg)
-	}
+	m, err := modelstore.From(ctx).EmbedModel(ctx, ctxs, &embed.Config{Dim: c.EmbedDim})
 	if err != nil {
 		return nil, fmt.Errorf("%w: training embeddings: %w", ErrPipeline, err)
 	}
 	return m, nil
 }
 
-// trainRecovery resolves the DIRTY-analog recovery model, through the
-// model store when one is attached.
+// trainRecovery resolves the DIRTY-analog recovery model the same way.
 func (s *Study) trainRecovery(ctx context.Context) (*namerec.Model, error) {
-	if st := modelstore.From(ctx); st != nil {
-		m, err := st.NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
-		if err != nil {
-			return nil, fmt.Errorf("%w: training recovery model: %w", ErrPipeline, err)
-		}
-		return m, nil
-	}
-	training, err := corpus.TrainingFiles()
-	if err != nil {
-		return nil, fmt.Errorf("%w: training corpus: %w", ErrPipeline, err)
-	}
-	m, err := namerec.TrainModelCtx(ctx, training)
+	m, err := modelstore.From(ctx).NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
 	if err != nil {
 		return nil, fmt.Errorf("%w: training recovery model: %w", ErrPipeline, err)
 	}
@@ -467,11 +340,10 @@ func (s *Study) runSurvey(ctx context.Context, c Config) (*survey.Dataset, error
 	return d, nil
 }
 
-// evalSnippet is the per-snippet pipeline tail shared by both execution
-// paths: the intrinsic metric battery over the snippet's rename pairs plus
-// the structural-complexity covariates, folded into one report. Identical
-// inputs produce bit-identical reports regardless of which path — or which
-// worker — runs them.
+// evalSnippet is the per-snippet pipeline tail: the intrinsic metric
+// battery over the snippet's rename pairs plus the structural-complexity
+// covariates, folded into one report. Identical inputs produce
+// bit-identical reports regardless of which worker runs them.
 func evalSnippet(ctx context.Context, p *corpus.Prepared, em *embed.Model) (metrics.Report, analysis.Covariates, error) {
 	pairs := make([]metrics.Pair, 0, len(p.Dirty.Renames))
 	for _, r := range p.Dirty.Renames {

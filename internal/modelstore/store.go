@@ -184,8 +184,12 @@ func From(ctx context.Context) *Store {
 // on a miss. The key covers every identifier of every context, the
 // resolved configuration, and the training seed. Errors from a miss-path
 // training are exactly embed.TrainCtx's — including injected faults — and
-// a failed training is never stored.
+// a failed training is never stored. A nil store (caching disabled) trains
+// directly every call.
 func (s *Store) EmbedModel(ctx context.Context, contexts [][]string, cfg *embed.Config) (*embed.Model, error) {
+	if s == nil {
+		return embed.TrainCtx(ctx, contexts, cfg)
+	}
 	v, err := s.get(ctx, EmbedKey(contexts, cfg), embedCodec{},
 		func(ctx context.Context) (any, error) { return embed.TrainCtx(ctx, contexts, cfg) })
 	if err != nil {
@@ -198,15 +202,20 @@ func (s *Store) EmbedModel(ctx context.Context, contexts [][]string, cfg *embed.
 // training on a miss. files supplies the parsed sources only when training
 // actually runs, so a cache hit never pays the parse. The sources must be
 // the exact text the files were parsed from — they are the key material.
+// A nil store (caching disabled) trains directly every call.
 func (s *Store) NamerecModel(ctx context.Context, sources []string, files func() ([]*csrc.File, error)) (*namerec.Model, error) {
+	train := func(ctx context.Context) (*namerec.Model, error) {
+		fs, err := files()
+		if err != nil {
+			return nil, err
+		}
+		return namerec.TrainModelCtx(ctx, fs)
+	}
+	if s == nil {
+		return train(ctx)
+	}
 	v, err := s.get(ctx, NamerecKey(sources), namerecCodec{},
-		func(ctx context.Context) (any, error) {
-			fs, err := files()
-			if err != nil {
-				return nil, err
-			}
-			return namerec.TrainModelCtx(ctx, fs)
-		})
+		func(ctx context.Context) (any, error) { return train(ctx) })
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +258,10 @@ func NamerecKey(sources []string) Key {
 
 // marshalGeneration versions the keys alongside the disk format: bumping
 // it (when a model's serialization changes) orphans old disk entries
-// instead of misreading them.
-const marshalGeneration = 1
+// instead of misreading them. Generation 2: namerec training orders its
+// examples by name, so generation-1 recovery models (examples in map
+// order) no longer match what training produces.
+const marshalGeneration = 2
 
 func writeInts(h interface{ Write([]byte) (int, error) }, vs ...int64) {
 	var buf [binary.MaxVarintLen64]byte

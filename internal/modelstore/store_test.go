@@ -13,6 +13,7 @@ import (
 	"decompstudy/internal/csrc"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/fault"
+	"decompstudy/internal/namerec"
 )
 
 var testContexts = [][]string{
@@ -202,6 +203,57 @@ func TestFromFlags(t *testing.T) {
 	}
 	if _, err := FromFlags(filepath.Join(dir, "missing"), false); !errors.Is(err, ErrCacheDir) {
 		t.Errorf("FromFlags(bad dir) err = %v, want ErrCacheDir", err)
+	}
+}
+
+// TestNilStoreTrainsDirectly: -no-model-cache leaves no store in the
+// context, and both model lookups on the nil store must train exactly what
+// the trainers produce directly — bit for bit, injected faults included.
+func TestNilStoreTrainsDirectly(t *testing.T) {
+	ctx := context.Background()
+	var s *Store
+	em, err := s.EmbedModel(ctx, testContexts, testEmbedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := embed.TrainCtx(ctx, testContexts, testEmbedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, _ := em.MarshalBinary()
+	b2, _ := want.MarshalBinary()
+	if !bytes.Equal(b1, b2) {
+		t.Error("nil-store embed model differs from a direct embed.TrainCtx")
+	}
+
+	nm, err := s.NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := corpus.TrainingFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNM, err := namerec.TrainModelCtx(ctx, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, _ := nm.MarshalBinary()
+	n2, _ := wantNM.MarshalBinary()
+	if !bytes.Equal(n1, n2) {
+		t.Error("nil-store namerec model differs from a direct namerec.TrainModelCtx")
+	}
+
+	plan, err := fault.ParsePlan("seed=1; embed.train:error; namerec.train:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := fault.With(ctx, fault.NewInjector(plan, 0))
+	if _, err := s.EmbedModel(armed, testContexts, testEmbedCfg()); !errors.Is(err, embed.ErrTrain) || !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("nil-store EmbedModel under fault = %v, want embed.ErrTrain wrapping ErrInjected", err)
+	}
+	if _, err := s.NamerecModel(armed, corpus.TrainingSources(), corpus.TrainingFiles); !errors.Is(err, namerec.ErrTrain) || !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("nil-store NamerecModel under fault = %v, want namerec.ErrTrain wrapping ErrInjected", err)
 	}
 }
 

@@ -57,10 +57,19 @@ func TrainModelCtx(ctx context.Context, files []*csrc.File) (*Model, error) {
 		for _, fn := range f.Functions {
 			feats := ExtractFeatures(fn)
 			types := variableTypes(fn)
-			for name, fs := range feats {
+			// Predict keeps the first best-scoring example, so examples are
+			// added in sorted name order: training is deterministic, and two
+			// trainings on the same corpus marshal to the same bytes.
+			names := make([]string, 0, len(feats))
+			for name := range feats {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
 				if isFunctionName(name, f) {
 					continue
 				}
+				fs := feats[name]
 				set := make(map[string]bool, len(fs))
 				for _, feat := range fs {
 					set[feat] = true

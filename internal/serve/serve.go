@@ -141,40 +141,20 @@ func NewServer(parent context.Context, o *obs.Obs, store *modelstore.Store, opts
 }
 
 // warmModels trains (or loads via the store) the embedding and name
-// recovery models before the server accepts traffic.
+// recovery models before the server accepts traffic. A nil store trains
+// directly.
 func (s *Server) warmModels(ctx context.Context, store *modelstore.Store) error {
 	ctx, sp := obs.StartSpan(ctx, "serve.warm")
 	defer sp.End()
-	ecfg := &embed.Config{Dim: s.opts.EmbedDim}
-	if store != nil {
-		ctxs, err := corpus.EmbeddingContexts()
-		if err != nil {
-			return fmt.Errorf("serve: warm embed corpus: %w", err)
-		}
-		em, err := store.EmbedModel(ctx, ctxs, ecfg)
-		if err != nil {
-			return fmt.Errorf("serve: warm embed model: %w", err)
-		}
-		rm, err := store.NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
-		if err != nil {
-			return fmt.Errorf("serve: warm namerec model: %w", err)
-		}
-		s.embedModel, s.recModel = em, rm
-		return nil
-	}
 	ctxs, err := corpus.EmbeddingContexts()
 	if err != nil {
 		return fmt.Errorf("serve: warm embed corpus: %w", err)
 	}
-	em, err := embed.TrainCtx(ctx, ctxs, ecfg)
+	em, err := store.EmbedModel(ctx, ctxs, &embed.Config{Dim: s.opts.EmbedDim})
 	if err != nil {
 		return fmt.Errorf("serve: warm embed model: %w", err)
 	}
-	files, err := corpus.TrainingFiles()
-	if err != nil {
-		return fmt.Errorf("serve: warm namerec corpus: %w", err)
-	}
-	rm, err := namerec.TrainModelCtx(ctx, files)
+	rm, err := store.NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
 	if err != nil {
 		return fmt.Errorf("serve: warm namerec model: %w", err)
 	}

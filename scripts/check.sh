@@ -32,14 +32,14 @@
 # single-flight/disk/fault tests plus the streaming determinism matrix and
 # model marshal round-trips under the race detector, then a studysim
 # identity sweep proving a cold disk cache, a warm reuse of the same
-# cache, -no-model-cache, -no-stream, and jobs 1 vs 8 all hash identical
-# to the flagless run. The sweep also runs as part of the default gate.
+# cache, -no-model-cache, and jobs 1 vs 8 all hash identical to the
+# flagless run. The sweep also runs as part of the default gate.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 # store_identity_sweep builds studysim once and proves the model store and
-# the streaming DAG never change output bytes: every flag combination must
+# the worker count never change output bytes: every flag combination must
 # hash identical to the flagless seed-26 run, and the cold cache run must
 # actually have persisted both models to disk.
 store_identity_sweep() {
@@ -56,10 +56,7 @@ store_identity_sweep() {
 		'-jobs 8' \
 		"-model-cache $cache" \
 		"-model-cache $cache -jobs 8" \
-		'-no-model-cache' \
-		'-no-stream' \
-		'-no-stream -jobs 8' \
-		"-no-stream -model-cache $cache"; do
+		'-no-model-cache'; do
 		# shellcheck disable=SC2086 # args is a deliberate word list
 		got="$("$sweep_tmp/studysim" -seed 26 $args 2>/dev/null | sha256sum | cut -d' ' -f1)"
 		if [ "$got" != "$base" ]; then
@@ -232,7 +229,7 @@ if [ "${1:-}" = "store" ]; then
 	go test -race -count=1 -run 'Streaming|Marshal|Task' \
 		./internal/core/ ./internal/embed/ ./internal/namerec/ ./internal/par/
 
-	echo "-- studysim: cold/warm cache, -no-stream, jobs must be byte-identical"
+	echo "-- studysim: cold/warm cache, -no-model-cache, jobs must be byte-identical"
 	store_identity_sweep
 	echo "OK"
 	exit 0

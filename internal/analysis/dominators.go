@@ -1,15 +1,10 @@
 package analysis
 
-import "decompstudy/internal/compile"
-
-// DomInfo holds the dominator analysis of one function: dominator sets
-// per block (dense indices), the back edges, and the natural loops they
-// induce.
+// DomInfo holds the dominator analysis of one function over dense block
+// indices: the immediate-dominator tree (Idom, Children, O(1) Dominates),
+// the back edges, and the natural loops they induce.
 type DomInfo struct {
-	g *Graph
-	// Dom[i] is the set of block indices dominating block i (including i
-	// itself). Unreachable blocks carry the universal set.
-	Dom []Bits
+	*DomTree
 	// BackEdges lists the (tail, head) index pairs where head dominates
 	// tail.
 	BackEdges [][2]int
@@ -19,32 +14,19 @@ type DomInfo struct {
 	Depth []int
 }
 
-// Dominators computes dominator sets via the forward must-dataflow
-// (in = ∩ preds, out = in ∪ {self}) on the shared solver, then derives
-// back edges, natural loops, and per-block loop depth.
+// Dominators builds the dominator tree from entry (see DomTree), then
+// derives back edges, natural loops, and per-block loop depth.
 func Dominators(g *Graph) *DomInfo {
 	n := g.NumBlocks()
-	d := &DomInfo{g: g, Loops: map[int]Bits{}, Depth: make([]int, n)}
-	if n == 0 {
-		return d
-	}
-	lat := BitsLattice(n, true, NewBits(n))
-	sol := Solve(g, Forward, lat, func(b *compile.Block, in Bits) Bits {
-		in.Set(g.Index[b.ID])
-		return in
-	})
-	d.Dom = make([]Bits, n)
-	for i := 0; i < n; i++ {
-		d.Dom[i] = sol.Out[i]
-	}
+	d := &DomInfo{DomTree: NewDomTree(0, g.Succs), Loops: map[int]Bits{}, Depth: make([]int, n)}
 
-	// Back edges: u→h with h ∈ Dom(u), both reachable.
+	// Back edges: u→h with h dominating u, both reachable.
 	for u := 0; u < n; u++ {
 		if !g.Reach.Has(u) {
 			continue
 		}
 		for _, h := range g.Succs[u] {
-			if d.Dom[u].Has(h) {
+			if d.Dominates(h, u) {
 				d.BackEdges = append(d.BackEdges, [2]int{u, h})
 			}
 		}
@@ -87,12 +69,4 @@ func (d *DomInfo) MaxDepth() int {
 		}
 	}
 	return max
-}
-
-// Dominates reports whether block index a dominates block index b.
-func (d *DomInfo) Dominates(a, b int) bool {
-	if b < 0 || b >= len(d.Dom) {
-		return false
-	}
-	return d.Dom[b].Has(a)
 }

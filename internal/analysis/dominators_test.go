@@ -88,3 +88,66 @@ func TestDominatorsEmptyFunc(t *testing.T) {
 		t.Errorf("empty func dominators: depth=%d backedges=%v", d.MaxDepth(), d.BackEdges)
 	}
 }
+
+func TestDominatorTreeNestedLoops(t *testing.T) {
+	d := Dominators(NewGraph(nestedLoops()))
+	wantIdom := []int{-1, 0, 1, 2, 2, 1}
+	for i, w := range wantIdom {
+		if d.Idom[i] != w {
+			t.Errorf("Idom[%d] = %d, want %d", i, d.Idom[i], w)
+		}
+	}
+	wantChildren := [][]int{{1}, {2, 5}, {3, 4}, nil, nil, nil}
+	for i, w := range wantChildren {
+		if len(d.Children[i]) != len(w) {
+			t.Errorf("Children[%d] = %v, want %v", i, d.Children[i], w)
+			continue
+		}
+		for j := range w {
+			if d.Children[i][j] != w[j] {
+				t.Errorf("Children[%d] = %v, want %v", i, d.Children[i], w)
+			}
+		}
+	}
+	if !d.Dominates(1, 4) || !d.Dominates(2, 3) || d.Dominates(3, 4) || d.Dominates(5, 2) {
+		t.Error("Dominates disagrees with the tree 0→1→{2→{3,4}, 5}")
+	}
+}
+
+// TestDominatorTreeUnreachable pins the must-dataflow answers the tree
+// keeps for blocks entry cannot reach: every block dominates an
+// unreachable one, and an unreachable block dominates no reachable one.
+func TestDominatorTreeUnreachable(t *testing.T) {
+	fn := tfn(1, 1,
+		tb(0, ret(compile.Temp(0))),
+		tb(1, br(0)),
+	)
+	d := Dominators(NewGraph(fn))
+	if d.Idom[0] != -1 || d.Idom[1] != -1 {
+		t.Errorf("Idom = %v, want [-1 -1]", d.Idom)
+	}
+	if !d.Dominates(0, 1) || !d.Dominates(1, 1) {
+		t.Error("an unreachable block must be dominated by every block")
+	}
+	if d.Dominates(1, 0) {
+		t.Error("an unreachable block must not dominate entry")
+	}
+	if d.Dominates(0, 2) || d.Dominates(-1, 0) {
+		t.Error("out-of-range indices must not dominate or be dominated")
+	}
+}
+
+// TestDomTreePostDominatorShape runs the engine the way the lifter does:
+// on reversed edges from a virtual exit (node 4) that the return block 3
+// feeds. In the diamond 0→{1,2}→3 the join post-dominates the whole
+// function.
+func TestDomTreePostDominatorShape(t *testing.T) {
+	rev := [][]int{0: nil, 1: {0}, 2: {0}, 3: {1, 2}, 4: {3}}
+	tr := NewDomTree(4, rev)
+	want := []int{3, 3, 3, 4, -1}
+	for i, w := range want {
+		if tr.Idom[i] != w {
+			t.Errorf("ipdom[%d] = %d, want %d", i, tr.Idom[i], w)
+		}
+	}
+}

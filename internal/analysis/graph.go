@@ -22,10 +22,14 @@ func (b Bits) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
 // Has reports whether i is in the set.
 func (b Bits) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
-// Fill adds every element in [0, n).
+// Fill adds every element in [0, n), a whole word at a time.
 func (b Bits) Fill(n int) {
-	for i := 0; i < n; i++ {
-		b.Set(i)
+	full := n / 64
+	for i := 0; i < full; i++ {
+		b[i] = ^uint64(0)
+	}
+	if tail := uint(n % 64); tail != 0 {
+		b[full] |= 1<<tail - 1
 	}
 }
 
@@ -154,38 +158,9 @@ func NewGraph(fn *compile.Func) *Graph {
 		}
 	}
 	if n > 0 {
-		g.dfsPostorder(0)
-		// Reverse the postorder in place to get RPO.
-		for l, r := 0, len(g.RPO)-1; l < r; l, r = l+1, r-1 {
-			g.RPO[l], g.RPO[r] = g.RPO[r], g.RPO[l]
-		}
+		g.RPO = reversePostorder(0, g.Succs, g.Reach)
 	}
 	return g
-}
-
-// dfsPostorder marks reachability and records postorder into g.RPO
-// (reversed afterwards by NewGraph).
-func (g *Graph) dfsPostorder(root int) {
-	type frame struct {
-		node int
-		next int
-	}
-	g.Reach.Set(root)
-	stack := []frame{{node: root}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(g.Succs[f.node]) {
-			s := g.Succs[f.node][f.next]
-			f.next++
-			if !g.Reach.Has(s) {
-				g.Reach.Set(s)
-				stack = append(stack, frame{node: s})
-			}
-			continue
-		}
-		g.RPO = append(g.RPO, f.node)
-		stack = stack[:len(stack)-1]
-	}
 }
 
 // NumBlocks returns the block count.

@@ -157,3 +157,26 @@ func TestUsedTempsAndDefTemp(t *testing.T) {
 		t.Errorf("defTemp(ret with Dst=3) = %d, want -1", got)
 	}
 }
+
+func TestBitsFillMatchesPerBitLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		for _, dirty := range []bool{false, true} {
+			got, want := NewBits(130), NewBits(130)
+			if dirty {
+				// Bits already present, inside and beyond [0, n), must
+				// survive: Fill only adds.
+				for _, i := range []int{0, 62, 64, 100, 129} {
+					got.Set(i)
+					want.Set(i)
+				}
+			}
+			got.Fill(n)
+			for i := 0; i < n; i++ {
+				want.Set(i)
+			}
+			if !got.Equal(want) {
+				t.Errorf("Fill(%d) dirty=%v = %x, per-bit loop %x", n, dirty, got, want)
+			}
+		}
+	}
+}

@@ -138,11 +138,15 @@ type lowerer struct {
 	fn     *Func
 	blocks []*Block
 	cur    *Block
-	scopes []map[string]int // name → temp
-	types  map[int]typeInfo // temp → type summary
-	breaks []int            // break target stack (block IDs)
-	conts  []int            // continue target stack
-	done   bool             // current block already terminated
+	// scope maps each name to its bindings in the open block scopes,
+	// innermost last, so lookup is O(1) however deep the nesting;
+	// declared lists the names each open scope bound, for popScope.
+	scope    map[string][]binding
+	declared [][]string
+	types    []typeInfo // temp → type summary
+	breaks   []int      // break target stack (block IDs)
+	conts    []int      // continue target stack
+	done     bool       // current block already terminated
 }
 
 func lowerFunc(file *csrc.File, src *csrc.Function) (*Func, error) {
@@ -162,7 +166,7 @@ func lowerFunc(file *csrc.File, src *csrc.Function) (*Func, error) {
 			RetWidth:  retTI.width,
 			RetSigned: retTI.signed,
 		},
-		types: map[int]typeInfo{},
+		scope: map[string][]binding{},
 	}
 	lo.pushScope()
 	for _, p := range src.Params {
@@ -190,23 +194,41 @@ func lowerFunc(file *csrc.File, src *csrc.Function) (*Func, error) {
 	return lo.fn, nil
 }
 
-func (lo *lowerer) pushScope() { lo.scopes = append(lo.scopes, map[string]int{}) }
-func (lo *lowerer) popScope()  { lo.scopes = lo.scopes[:len(lo.scopes)-1] }
+// binding is one declaration of a name: the temp it names and the scope
+// depth (len(declared)) it was declared at.
+type binding struct{ depth, temp int }
 
-func (lo *lowerer) bind(name string, temp int) { lo.scopes[len(lo.scopes)-1][name] = temp }
+func (lo *lowerer) pushScope() { lo.declared = append(lo.declared, nil) }
+
+func (lo *lowerer) popScope() {
+	top := len(lo.declared) - 1
+	for _, name := range lo.declared[top] {
+		b := lo.scope[name]
+		lo.scope[name] = b[:len(b)-1]
+	}
+	lo.declared = lo.declared[:top]
+}
+
+func (lo *lowerer) bind(name string, temp int) {
+	depth := len(lo.declared)
+	if b := lo.scope[name]; len(b) > 0 && b[len(b)-1].depth == depth {
+		b[len(b)-1].temp = temp // redeclared in the same scope
+		return
+	}
+	lo.scope[name] = append(lo.scope[name], binding{depth: depth, temp: temp})
+	lo.declared[depth-1] = append(lo.declared[depth-1], name)
+}
 
 func (lo *lowerer) lookup(name string) (int, bool) {
-	for i := len(lo.scopes) - 1; i >= 0; i-- {
-		if t, ok := lo.scopes[i][name]; ok {
-			return t, true
-		}
+	if b := lo.scope[name]; len(b) > 0 {
+		return b[len(b)-1].temp, true
 	}
 	return 0, false
 }
 
 func (lo *lowerer) newTemp(ti typeInfo) int {
 	id := len(lo.types)
-	lo.types[id] = ti
+	lo.types = append(lo.types, ti)
 	return id
 }
 
@@ -236,25 +258,24 @@ func (lo *lowerer) switchTo(b *Block) {
 }
 
 // pruneUnreachable drops blocks not reachable from block 0 and renumbers
-// nothing (IDs are stable; decomp follows edges, not slice order).
+// nothing (IDs are stable; decomp follows edges, not slice order). IDs
+// are dense — newBlock numbers blocks by position — so lo.blocks[id] is
+// the block with that ID.
 func (lo *lowerer) pruneUnreachable() []*Block {
-	reach := map[int]bool{}
-	var walk func(id int)
-	walk = func(id int) {
-		if reach[id] {
-			return
-		}
-		reach[id] = true
-		for _, b := range lo.blocks {
-			if b.ID == id {
-				for _, s := range b.Succs() {
-					walk(s)
-				}
+	if len(lo.blocks) == 0 {
+		return nil
+	}
+	reach := make([]bool, len(lo.blocks))
+	reach[0] = true
+	for stack := []int{0}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range lo.blocks[id].Succs() {
+			if !reach[s] {
+				reach[s] = true
+				stack = append(stack, s)
 			}
 		}
-	}
-	if len(lo.blocks) > 0 {
-		walk(lo.blocks[0].ID)
 	}
 	var out []*Block
 	for _, b := range lo.blocks {

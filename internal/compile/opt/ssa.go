@@ -50,10 +50,9 @@ type ssaBlock struct {
 // instruction Dst, or a synthetic zero-initialization at entry, matching
 // the interpreter's zero-filled register file).
 type ssaFunc struct {
-	fn  *compile.Func
-	g   *analysis.Graph
-	dom *analysis.DomInfo
-	// idom and children encode the dominator tree over dense block
+	fn *compile.Func
+	g  *analysis.Graph
+	// idom and children are the analysis.Dominators tree over dense block
 	// indices; idom[entry] = -1, unreachable blocks carry -1.
 	idom     []int
 	children [][]int
@@ -86,15 +85,16 @@ func buildSSA(fn *compile.Func) *ssaFunc {
 		fn = splitEntry(fn)
 		g = analysis.NewGraph(fn)
 	}
+	dom := analysis.Dominators(g)
 	s := &ssaFunc{
-		fn:     fn,
-		g:      g,
-		dom:    analysis.Dominators(g),
-		blocks: make([]*ssaBlock, len(g.Blocks)),
-		live:   make([]bool, len(g.Blocks)),
-		zeroOf: make([]int, fn.NTemps),
+		fn:       fn,
+		g:        g,
+		idom:     dom.Idom,
+		children: dom.Children,
+		blocks:   make([]*ssaBlock, len(g.Blocks)),
+		live:     make([]bool, len(g.Blocks)),
+		zeroOf:   make([]int, fn.NTemps),
 	}
-	s.buildDomTree()
 	for t := range s.zeroOf {
 		s.zeroOf[t] = -1
 	}
@@ -134,39 +134,6 @@ func splitEntry(fn *compile.Func) *compile.Func {
 	})
 	nf.Blocks = append(nf.Blocks, fn.Blocks...)
 	return &nf
-}
-
-// buildDomTree derives the immediate-dominator tree from the dominator
-// sets: idom(b) is the strict dominator of b with the largest dominator
-// set (every other strict dominator of b also dominates it).
-func (s *ssaFunc) buildDomTree() {
-	n := len(s.g.Blocks)
-	s.idom = make([]int, n)
-	s.children = make([][]int, n)
-	for i := range s.idom {
-		s.idom[i] = -1
-	}
-	for b := 0; b < n; b++ {
-		if b == 0 || !s.g.Reach.Has(b) {
-			continue
-		}
-		best, bestSize := -1, -1
-		s.dom.Dom[b].ForEach(func(c int) {
-			if c == b || !s.g.Reach.Has(c) {
-				return
-			}
-			if size := s.dom.Dom[c].Count(); size > bestSize {
-				best, bestSize = c, size
-			}
-		})
-		s.idom[b] = best
-		if best >= 0 {
-			s.children[best] = append(s.children[best], b)
-		}
-	}
-	for _, c := range s.children {
-		sort.Ints(c)
-	}
 }
 
 // frontiers computes the dominance frontier of every reachable block with

@@ -12,6 +12,24 @@ import (
 // ErrParse is returned for syntactically invalid input.
 var ErrParse = errors.New("csrc: parse error")
 
+// ErrLimit is returned, together with ErrParse, for input nested deeper
+// than MaxExprDepth or MaxStmtDepth. The limits bound the recursion of
+// every later stage (lowering, optimization, lifting, printing), so no
+// source under the served body cap can overflow a goroutine stack.
+var ErrLimit = errors.New("csrc: nesting limit exceeded")
+
+// Nesting limits, counted as parser recursion. Expression depth grows by
+// one per unary operator or cast and per operator of a binary chain (a
+// chain of n operators is n levels deep), and by two per parenthesized,
+// assigned or ternary-arm subexpression. Statement depth grows by one per
+// nested statement, so each `if (...) {` opens two. Both sit far above
+// the corpus and the deepest generated benchmark nests (about 520
+// statement levels).
+const (
+	MaxExprDepth = 1024
+	MaxStmtDepth = 1024
+)
+
 // baseTypeKeywords start a base type.
 var baseTypeKeywords = map[string]bool{
 	"void": true, "char": true, "short": true, "int": true, "long": true,
@@ -34,6 +52,9 @@ type Parser struct {
 	pos       int
 	typeNames map[string]bool
 	file      *File
+	// exprDepth and stmtDepth count the open expression and statement
+	// levels (see MaxExprDepth).
+	exprDepth, stmtDepth int
 }
 
 // NewParser prepares a parser for src. extraTypes registers additional
@@ -79,6 +100,9 @@ func ParseCtx(ctx context.Context, src string, extraTypes []string) (*File, erro
 	file, err := p.ParseFile()
 	if err != nil {
 		obs.AddCount(ctx, "csrc.parse.errors", 1)
+		if errors.Is(err, ErrLimit) {
+			obs.AddCount(ctx, "csrc.parse.limit_rejects", 1)
+		}
 		return nil, err
 	}
 	sp.SetAttr("functions", len(file.Functions))
@@ -129,6 +153,18 @@ func (p *Parser) errorf(format string, args ...any) error {
 	t := p.cur()
 	msg := fmt.Sprintf(format, args...)
 	return fmt.Errorf("csrc: line %d col %d: %s: %w", t.Line, t.Col, msg, ErrParse)
+}
+
+// descend opens one more nesting level in *depth, failing with ErrLimit
+// past limit. The caller closes the level by decrementing *depth.
+func (p *Parser) descend(depth *int, limit int, what string) error {
+	*depth++
+	if *depth > limit {
+		t := p.cur()
+		return fmt.Errorf("csrc: line %d col %d: %s nesting deeper than %d: %w: %w",
+			t.Line, t.Col, what, limit, ErrLimit, ErrParse)
+	}
+	return nil
 }
 
 // isTypeStart reports whether the current token can begin a type.
@@ -443,6 +479,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.descend(&p.stmtDepth, MaxStmtDepth, "statement"); err != nil {
+		return nil, err
+	}
+	defer func() { p.stmtDepth-- }()
 	switch {
 	case p.at(TokPunct, "{"):
 		return p.parseBlock()
@@ -697,6 +737,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *Parser) parseAssignExpr() (Expr, error) {
+	if err := p.descend(&p.exprDepth, MaxExprDepth, "expression"); err != nil {
+		return nil, err
+	}
+	defer func() { p.exprDepth-- }()
 	l, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -750,6 +794,8 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each operator nests the tree built so far one level deeper.
+	defer func(depth int) { p.exprDepth = depth }(p.exprDepth)
 	for {
 		t := p.cur()
 		prec, ok := binPrec[t.Text]
@@ -757,6 +803,9 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 			return l, nil
 		}
 		p.pos++
+		if err := p.descend(&p.exprDepth, MaxExprDepth, "expression"); err != nil {
+			return nil, err
+		}
 		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
@@ -766,6 +815,10 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.descend(&p.exprDepth, MaxExprDepth, "expression"); err != nil {
+		return nil, err
+	}
+	defer func() { p.exprDepth-- }()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {

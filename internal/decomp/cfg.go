@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 
+	"decompstudy/internal/analysis"
 	"decompstudy/internal/compile"
 )
 
@@ -28,35 +29,31 @@ import (
 // or malformed input).
 var ErrStructure = errors.New("decomp: cannot structure control flow")
 
-// cfg is the analyzed control-flow graph of one function.
+// cfg is the analyzed control-flow graph of one function: the
+// analysis.Graph (blocks by dense index in Func order, entry 0, with
+// successor and predecessor lists; a CondBr's successors are [Target,
+// Else]), its natural loops, and its post-dominator tree. Structuring
+// addresses blocks by index; -1 stands for no block (the virtual exit, or
+// no follow).
 type cfg struct {
-	fn    *compile.Func
-	ids   []int         // block IDs in DFS preorder from entry
-	index map[int]int   // block ID → dense index
-	succs map[int][]int // block ID → successor IDs
-	preds map[int][]int
-	// loopHeaders maps a header block ID to its natural loop body set
-	// (including the header).
-	loopHeaders map[int]map[int]bool
-	// ipdom maps block ID → immediate post-dominator ID; the virtual exit
-	// is -1.
-	ipdom map[int]int
+	*analysis.Graph
+	// loops maps a header index to its natural loop body, a set of
+	// indices (header included), from analysis.Dominators' back edges.
+	loops map[int]analysis.Bits
+	// ipdom is each block's immediate post-dominator; -1 for the virtual
+	// exit.
+	ipdom []int
 }
 
-// analyze builds the CFG with loops and post-dominators.
+// analyze builds the CFG with loops and post-dominators. Both come from
+// the analysis.DomTree engine, so the whole analysis is linear in the
+// block count on the structured CFGs the compiler emits.
 func analyze(fn *compile.Func) (*cfg, error) {
 	if len(fn.Blocks) == 0 {
 		return nil, fmt.Errorf("decomp: function %s has no blocks: %w", fn.Name, ErrStructure)
 	}
-	g := &cfg{
-		fn:          fn,
-		index:       map[int]int{},
-		succs:       map[int][]int{},
-		preds:       map[int][]int{},
-		loopHeaders: map[int]map[int]bool{},
-		ipdom:       map[int]int{},
-	}
-	for _, b := range fn.Blocks {
+	g := &cfg{Graph: analysis.NewGraph(fn)}
+	for i, b := range fn.Blocks {
 		// An empty block has no terminator: Block.Term() returns a zero
 		// Instr and Succs() nil, which would silently treat the block as
 		// a return block. Reject it up front instead.
@@ -64,154 +61,38 @@ func analyze(fn *compile.Func) (*cfg, error) {
 			return nil, fmt.Errorf("decomp: function %s: block b%d is empty (no terminator): %w",
 				fn.Name, b.ID, ErrStructure)
 		}
-		g.succs[b.ID] = b.Succs()
-	}
-	// DFS preorder, back-edge detection.
-	onStack := map[int]bool{}
-	visited := map[int]bool{}
-	var backEdges [][2]int
-	var dfs func(id int)
-	dfs = func(id int) {
-		visited[id] = true
-		onStack[id] = true
-		g.index[id] = len(g.ids)
-		g.ids = append(g.ids, id)
-		for _, s := range g.succs[id] {
-			g.preds[s] = append(g.preds[s], id)
-			if !visited[s] {
-				dfs(s)
-			} else if onStack[s] {
-				backEdges = append(backEdges, [2]int{id, s})
-			}
-		}
-		onStack[id] = false
-	}
-	dfs(fn.Blocks[0].ID)
-
-	// Natural loops from back edges u→h: body = {h} ∪ nodes reaching u
-	// without passing h.
-	for _, e := range backEdges {
-		u, h := e[0], e[1]
-		body := g.loopHeaders[h]
-		if body == nil {
-			body = map[int]bool{h: true}
-			g.loopHeaders[h] = body
-		}
-		stack := []int{u}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if body[n] {
-				continue
-			}
-			body[n] = true
-			stack = append(stack, g.preds[n]...)
+		// NewGraph drops edges to blocks that do not exist.
+		if len(g.Succs[i]) != len(b.Succs()) {
+			return nil, fmt.Errorf("decomp: function %s: block b%d branches to a missing block: %w",
+				fn.Name, b.ID, ErrStructure)
 		}
 	}
-
+	g.loops = analysis.Dominators(g.Graph).Loops
 	g.computePostDominators()
 	return g, nil
 }
 
-// computePostDominators runs the standard iterative dataflow on the
-// reversed CFG with a virtual exit node (-1) that every return block feeds.
+// computePostDominators runs the analysis.DomTree engine on the reversed
+// CFG, where node NumBlocks() is a virtual exit that every return block
+// feeds. A block whose immediate post-dominator is that exit gets -1. So
+// does a block that cannot reach a return at all (the body of a while(1)
+// with no break): it has no post-dominator, and liftCondBr picks such a
+// conditional's join by reachability instead. The set-based computation
+// this replaced gave such blocks whichever loop block map iteration
+// offered first.
 func (g *cfg) computePostDominators() {
-	const exit = -1
-	// pdom[b] = set of post-dominators, encoded as map.
-	all := map[int]bool{exit: true}
-	for _, id := range g.ids {
-		all[id] = true
-	}
-	pdom := map[int]map[int]bool{exit: {exit: true}}
-	for _, id := range g.ids {
-		s := map[int]bool{}
-		for n := range all {
-			s[n] = true
-		}
-		pdom[id] = s
-	}
-	succsOf := func(id int) []int {
-		ss := g.succs[id]
+	exit := g.NumBlocks()
+	rev := append(g.Preds[:exit:exit], nil)
+	for i, ss := range g.Succs {
 		if len(ss) == 0 {
-			return []int{exit}
-		}
-		return ss
-	}
-	changed := true
-	for changed {
-		changed = false
-		// Iterate in reverse preorder for faster convergence.
-		for i := len(g.ids) - 1; i >= 0; i-- {
-			id := g.ids[i]
-			var inter map[int]bool
-			for _, s := range succsOf(id) {
-				sp, ok := pdom[s]
-				if !ok {
-					continue
-				}
-				if inter == nil {
-					inter = map[int]bool{}
-					for n := range sp {
-						inter[n] = true
-					}
-				} else {
-					for n := range inter {
-						if !sp[n] {
-							delete(inter, n)
-						}
-					}
-				}
-			}
-			if inter == nil {
-				inter = map[int]bool{}
-			}
-			inter[id] = true
-			if len(inter) != len(pdom[id]) {
-				pdom[id] = inter
-				changed = true
-				continue
-			}
-			for n := range inter {
-				if !pdom[id][n] {
-					pdom[id] = inter
-					changed = true
-					break
-				}
-			}
+			rev[exit] = append(rev[exit], i)
 		}
 	}
-	// Immediate post-dominator: the strict post-dominator that is post-
-	// dominated by every other strict post-dominator.
-	for _, id := range g.ids {
-		strict := []int{}
-		for n := range pdom[id] {
-			if n != id {
-				strict = append(strict, n)
-			}
+	g.ipdom = analysis.NewDomTree(exit, rev).Idom[:exit]
+	for i, d := range g.ipdom {
+		if d == exit {
+			g.ipdom[i] = -1
 		}
-		best := exit
-		for _, cand := range strict {
-			if cand == exit {
-				continue
-			}
-			// cand is immediate if every other strict post-dominator of id
-			// post-dominates cand.
-			ok := true
-			for _, other := range strict {
-				if other == cand || other == exit {
-					continue
-				}
-				if !pdom[cand][other] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				best = cand
-				break
-			}
-		}
-		g.ipdom[id] = best
 	}
 }
 
@@ -221,7 +102,8 @@ func (g *cfg) reachable(from, to, avoid int) bool {
 	if from == avoid {
 		return false
 	}
-	seen := map[int]bool{avoid: true}
+	seen := analysis.NewBits(g.NumBlocks())
+	seen.Set(avoid)
 	stack := []int{from}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -229,18 +111,18 @@ func (g *cfg) reachable(from, to, avoid int) bool {
 		if n == to {
 			return true
 		}
-		if seen[n] {
+		if seen.Has(n) {
 			continue
 		}
-		seen[n] = true
-		stack = append(stack, g.succs[n]...)
+		seen.Set(n)
+		stack = append(stack, g.Succs[n]...)
 	}
 	return false
 }
 
-// isLoopHeader reports whether id heads a natural loop.
-func (g *cfg) isLoopHeader(id int) bool {
-	_, ok := g.loopHeaders[id]
+// isLoopHeader reports whether block i heads a natural loop.
+func (g *cfg) isLoopHeader(i int) bool {
+	_, ok := g.loops[i]
 	return ok
 }
 
@@ -248,19 +130,16 @@ func (g *cfg) isLoopHeader(id int) bool {
 // loop, plus the successor that stays inside. ok is false for headers
 // without a conditional exit (while(1) shapes).
 func (g *cfg) loopExit(header int) (body, exit int, ok bool) {
-	blk := g.fn.Block0(header)
-	term := blk.Term()
-	if term.Op != compile.OpCondBr {
+	if g.Blocks[header].Term().Op != compile.OpCondBr {
 		return 0, 0, false
 	}
-	set := g.loopHeaders[header]
-	inT := set[term.Target]
-	inE := set[term.Else]
-	switch {
+	set := g.loops[header]
+	t, e := g.Succs[header][0], g.Succs[header][1]
+	switch inT, inE := set.Has(t), set.Has(e); {
 	case inT && !inE:
-		return term.Target, term.Else, true
+		return t, e, true
 	case inE && !inT:
-		return term.Else, term.Target, true
+		return e, t, true
 	default:
 		return 0, 0, false
 	}

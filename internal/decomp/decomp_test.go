@@ -332,3 +332,28 @@ func TestLiftEmptyBlockIsStructureError(t *testing.T) {
 		t.Errorf("error %q should name the empty block b1", err)
 	}
 }
+
+func TestLiftMalformedIRIsStructureError(t *testing.T) {
+	// Hand-built IR the verifier would reject must come back as
+	// ErrStructure naming the fault, never as a panic.
+	br := func(target int) compile.Instr { return compile.Instr{Op: compile.OpBr, Dst: -1, Target: target} }
+	ret := func(a compile.Operand) compile.Instr { return compile.Instr{Op: compile.OpRet, Dst: -1, A: a} }
+	for _, tc := range []struct {
+		name, want string
+		blocks     []*compile.Block
+	}{
+		{"branch to a missing block", "b0 branches to a missing block", []*compile.Block{
+			{ID: 0, Instrs: []compile.Instr{br(7)}},
+		}},
+		{"negative temp", "negative temp t-1", []*compile.Block{
+			{ID: 0, Instrs: []compile.Instr{ret(compile.Temp(-1))}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LiftFunc(&compile.Func{Name: "broken", NTemps: 1, RetWidth: 8, Blocks: tc.blocks})
+			if !errors.Is(err, ErrStructure) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error = %v, want ErrStructure mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

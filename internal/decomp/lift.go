@@ -64,20 +64,13 @@ func LiftFuncCtx(ctx context.Context, fn *compile.Func) (*Decompiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	lf := &lifter{
-		g:        g,
-		fn:       fn,
-		names:    map[int]string{},
-		named:    map[int]bool{},
-		useCount: map[int]int{},
-		defCount: map[int]int{},
-		pending:  map[int]csrc.Expr{},
-		arity:    map[int]int{},
+	lf := &lifter{g: g, fn: fn, arity: map[int]int{}}
+	if err := lf.countUses(); err != nil {
+		return nil, err
 	}
-	lf.countUses()
 	lf.assignNames()
 
-	body, err := lf.seq(fn.Blocks[0].ID, -1, 0)
+	body, err := lf.seq(0, -1, 0)
 	if err != nil {
 		return nil, fmt.Errorf("decomp: function %s: %w", fn.Name, err)
 	}
@@ -114,7 +107,7 @@ func LiftFuncCtx(ctx context.Context, fn *compile.Func) (*Decompiled, error) {
 	}
 	// Scratch temps that needed names get plain decls after the symbols.
 	for t := fn.NParams; t < fn.NTemps; t++ {
-		if !lf.named[t] {
+		if lf.names[t] == "" {
 			continue
 		}
 		if _, isSym := fn.SymbolForTemp(t); isSym {
@@ -133,42 +126,68 @@ func LiftFuncCtx(ctx context.Context, fn *compile.Func) (*Decompiled, error) {
 
 // lifter carries per-function lifting state.
 type lifter struct {
-	g        *cfg
-	fn       *compile.Func
-	names    map[int]string
-	named    map[int]bool
-	useCount map[int]int
-	defCount map[int]int
-	pending  map[int]csrc.Expr
-	arity    map[int]int // indirect-call arity per callee temp
-	depth    int
+	g  *cfg
+	fn *compile.Func
+	// Per-temp state, indexed by temp: the Hex-Rays name ("" while the
+	// temp is unnamed), use and definition counts, and the expression of a
+	// single-use definition not yet folded into its consumer.
+	names              []string
+	useCount, defCount []int
+	pending            []csrc.Expr
+	arity              map[int]int // indirect-call arity per callee temp
+	depth              int
 	// currentLoop is the innermost loop context during structuring (nil
 	// outside loops); branch() consults it to map edges to break/continue.
 	currentLoop *loopCtx
 }
 
-func (lf *lifter) countUses() {
-	count := func(o compile.Operand) {
+// countUses sizes the per-temp state to every temp the function mentions
+// and counts uses, definitions and indirect-call arities.
+func (lf *lifter) countUses() error {
+	var uses, defs []int
+	use := func(o compile.Operand) {
 		if o.Kind == compile.OperandTemp {
-			lf.useCount[o.Temp]++
+			uses = append(uses, o.Temp)
 		}
 	}
 	for _, b := range lf.fn.Blocks {
 		for _, in := range b.Instrs {
-			count(in.A)
-			count(in.B)
-			count(in.Callee)
+			use(in.A)
+			use(in.B)
+			use(in.Callee)
 			for _, a := range in.Args {
-				count(a)
+				use(a)
 			}
 			if in.Dst >= 0 {
-				lf.defCount[in.Dst]++
+				defs = append(defs, in.Dst)
 			}
 			if in.Op == compile.OpCall && in.Callee.Kind == compile.OperandTemp {
 				lf.arity[in.Callee.Temp] = len(in.Args)
 			}
 		}
 	}
+	syms := make([]int, len(lf.fn.Symbols))
+	for i, sym := range lf.fn.Symbols {
+		syms[i] = sym.Temp
+	}
+	n := max(lf.fn.NTemps, lf.fn.NParams)
+	for _, ts := range [][]int{uses, defs, syms} {
+		for _, t := range ts {
+			if t < 0 {
+				return fmt.Errorf("negative temp t%d: %w", t, ErrStructure)
+			}
+			n = max(n, t+1)
+		}
+	}
+	lf.names, lf.pending = make([]string, n), make([]csrc.Expr, n)
+	lf.useCount, lf.defCount = make([]int, n), make([]int, n)
+	for _, t := range uses {
+		lf.useCount[t]++
+	}
+	for _, t := range defs {
+		lf.defCount[t]++
+	}
+	return nil
 }
 
 // assignNames gives Hex-Rays names to params, named locals, and any scratch
@@ -176,21 +195,15 @@ func (lf *lifter) countUses() {
 func (lf *lifter) assignNames() {
 	for t := 0; t < lf.fn.NParams; t++ {
 		lf.names[t] = fmt.Sprintf("a%d", t+1)
-		lf.named[t] = true
 	}
 	for _, sym := range lf.fn.Symbols {
 		if sym.Kind == compile.VarLocal {
 			lf.names[sym.Temp] = fmt.Sprintf("v%d", sym.Temp+1)
-			lf.named[sym.Temp] = true
 		}
 	}
 	for t := 0; t < lf.fn.NTemps; t++ {
-		if lf.named[t] {
-			continue
-		}
-		if lf.defCount[t] > 1 || lf.useCount[t] > 1 {
+		if lf.names[t] == "" && (lf.defCount[t] > 1 || lf.useCount[t] > 1) {
 			lf.names[t] = fmt.Sprintf("v%d", t+1)
-			lf.named[t] = true
 		}
 	}
 }
@@ -289,17 +302,16 @@ func (lf *lifter) operand(o compile.Operand) csrc.Expr {
 		}
 		return &csrc.Ident{Name: o.Sym}
 	case compile.OperandTemp:
-		if lf.named[o.Temp] {
+		if lf.names[o.Temp] != "" {
 			return &csrc.Ident{Name: lf.names[o.Temp]}
 		}
-		if e, ok := lf.pending[o.Temp]; ok {
-			delete(lf.pending, o.Temp)
+		if e := lf.pending[o.Temp]; e != nil {
+			lf.pending[o.Temp] = nil
 			return e
 		}
 		// A scratch temp consumed out of order; give it a name so output
 		// stays well-formed.
 		lf.names[o.Temp] = fmt.Sprintf("v%d", o.Temp+1)
-		lf.named[o.Temp] = true
 		return &csrc.Ident{Name: lf.names[o.Temp]}
 	default:
 		return &csrc.IntLit{Text: "0"}
@@ -382,7 +394,7 @@ func (lf *lifter) emitInstrs(b *compile.Block) []csrc.Stmt {
 			switch {
 			case in.Dst < 0:
 				stmts = append(stmts, &csrc.ExprStmt{X: e})
-			case lf.named[in.Dst]:
+			case lf.names[in.Dst] != "":
 				stmts = append(stmts, &csrc.ExprStmt{X: &csrc.Assign{
 					Op: "=", L: &csrc.Ident{Name: lf.names[in.Dst]}, R: e,
 				}})
@@ -417,8 +429,8 @@ func negate(e csrc.Expr) csrc.Expr {
 	return &csrc.Unary{Op: "!", X: e}
 }
 
-// seq structures the region from id up to (exclusive) follow. loopDepth
-// guards against runaway recursion on malformed graphs.
+// seq structures the region from block index id up to (exclusive)
+// follow. loopDepth guards against runaway recursion on malformed graphs.
 func (lf *lifter) seq(id, follow int, loopDepth int) ([]csrc.Stmt, error) {
 	var stmts []csrc.Stmt
 	lf.depth++
@@ -456,10 +468,7 @@ func (lf *lifter) seq(id, follow int, loopDepth int) ([]csrc.Stmt, error) {
 			cur = exit
 			continue
 		}
-		b := lf.fn.Block0(cur)
-		if b == nil {
-			return nil, fmt.Errorf("missing block b%d: %w", cur, ErrStructure)
-		}
+		b := lf.g.Blocks[cur]
 		stmts = append(stmts, lf.emitInstrs(b)...)
 		term := b.Term()
 		switch term.Op {
@@ -467,7 +476,7 @@ func (lf *lifter) seq(id, follow int, loopDepth int) ([]csrc.Stmt, error) {
 			stmts = append(stmts, lf.liftReturn(term))
 			return stmts, nil
 		case compile.OpBr:
-			cur = term.Target
+			cur = lf.g.Succs[cur][0]
 		case compile.OpCondBr:
 			condStmts, join, err := lf.liftCondBr(cur, term, loopDepth)
 			if err != nil {
@@ -476,7 +485,7 @@ func (lf *lifter) seq(id, follow int, loopDepth int) ([]csrc.Stmt, error) {
 			stmts = append(stmts, condStmts...)
 			cur = join
 		default:
-			return nil, fmt.Errorf("block b%d has no terminator: %w", cur, ErrStructure)
+			return nil, fmt.Errorf("block b%d has no terminator: %w", b.ID, ErrStructure)
 		}
 	}
 	return stmts, nil
@@ -487,6 +496,7 @@ func (lf *lifter) seq(id, follow int, loopDepth int) ([]csrc.Stmt, error) {
 // to continue from. Shared by seq and liftLoop (whose headers may
 // themselves end in in-loop conditionals).
 func (lf *lifter) liftCondBr(cur int, term compile.Instr, loopDepth int) ([]csrc.Stmt, int, error) {
+	then, els := lf.g.Succs[cur][0], lf.g.Succs[cur][1]
 	join := lf.g.ipdom[cur]
 	// When one arm can return early, the post-dominator degenerates to the
 	// virtual exit. Pick the arm the other arm flows into as the join —
@@ -494,18 +504,18 @@ func (lf *lifter) liftCondBr(cur int, term compile.Instr, loopDepth int) ([]csrc
 	// emitting the terminating then arm inline — so no region is ever
 	// emitted twice.
 	if join == -1 {
-		if lf.g.reachable(term.Else, term.Target, cur) && !lf.g.reachable(term.Target, term.Else, cur) {
-			join = term.Target
+		if lf.g.reachable(els, then, cur) && !lf.g.reachable(then, els, cur) {
+			join = then
 		} else {
-			join = term.Else
+			join = els
 		}
 	}
 	cond := lf.operand(term.A)
-	thenStmts, err := lf.branch(term.Target, join, loopDepth)
+	thenStmts, err := lf.branch(then, join, loopDepth)
 	if err != nil {
 		return nil, 0, err
 	}
-	elseStmts, err := lf.branch(term.Else, join, loopDepth)
+	elseStmts, err := lf.branch(els, join, loopDepth)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -548,7 +558,7 @@ type loopCtx struct {
 // loop statement(s) and the block to continue from.
 func (lf *lifter) liftLoop(header int) ([]csrc.Stmt, int, error) {
 	body, exit, hasCond := lf.g.loopExit(header)
-	hb := lf.fn.Block0(header)
+	hb := lf.g.Blocks[header]
 	headerStmts := lf.emitInstrs(hb)
 
 	if !hasCond {
@@ -560,15 +570,15 @@ func (lf *lifter) liftLoop(header int) ([]csrc.Stmt, int, error) {
 		// resumes there, keeping enclosing loop contexts intact.
 		term := hb.Term()
 		structExit := -1
-		set := lf.g.loopHeaders[header]
+		set := lf.g.loops[header]
 		outs := map[int]bool{}
-		for id := range set {
-			for _, s := range lf.g.succs[id] {
-				if !set[s] {
+		set.ForEach(func(i int) {
+			for _, s := range lf.g.Succs[i] {
+				if !set.Has(s) {
 					outs[s] = true
 				}
 			}
-		}
+		})
 		if len(outs) == 1 {
 			for x := range outs {
 				structExit = x
@@ -589,9 +599,9 @@ func (lf *lifter) liftLoop(header int) ([]csrc.Stmt, int, error) {
 				bodyStmts = append(condStmts, rest...)
 			}
 		case compile.OpBr:
-			bodyStmts, err = lf.seq(term.Target, header, 1)
+			bodyStmts, err = lf.seq(lf.g.Succs[header][0], header, 1)
 		default:
-			err = fmt.Errorf("loop header b%d ends in %v: %w", header, term.Op, ErrStructure)
+			err = fmt.Errorf("loop header b%d ends in %v: %w", hb.ID, term.Op, ErrStructure)
 		}
 		lf.currentLoop = saved
 		if err != nil {

@@ -101,14 +101,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // fail maps processing errors to status codes: saturation and draining are
-// 503 (retryable elsewhere), client abandonment gets no body, everything
-// else is a 500 carrying the pipeline error.
+// 503 (retryable elsewhere), client abandonment gets no body, a source
+// nested past the csrc limits is a 400, and everything else is a 500
+// carrying the pipeline error.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated) || errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, csrc.ErrLimit):
+		// Input nested past the parser's limits is the client's fault;
+		// other parse errors (and injected csrc.parse faults) stay 500.
+		writeError(w, http.StatusBadRequest, err)
 	default:
 		writeError(w, http.StatusInternalServerError, err)
 	}

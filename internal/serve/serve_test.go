@@ -182,6 +182,47 @@ func TestDecompileAndLintEndpoints(t *testing.T) {
 	}
 }
 
+// TestNestingLimitIsA400 sends the body that used to end the process (a
+// goroutine stack overflow while lowering 10^6 nested `!`): it must come
+// back as a 400, be counted on /debug, and leave the server answering.
+// A depth-260 nest, the deep end of the benchmark's tail, still decompiles.
+func TestNestingLimitIsA400(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	client := hs.Client()
+	get := func(path string) (int, string) {
+		resp, err := client.Get(hs.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+
+	src := "int f(int a){ return " + strings.Repeat("!", 1_000_000) + "a; }"
+	resp, raw := post(t, client, hs.URL+"/v1/decompile", fmt.Sprintf(`{"source": %q}`, src), nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "nesting") {
+		t.Fatalf("10^6 nots: status %d, body %.300s", resp.StatusCode, raw)
+	}
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the rejection = %d %s", code, body)
+	}
+	if _, body := get("/debug/metrics?format=json"); !strings.Contains(body, "csrc.parse.limit_rejects") {
+		t.Errorf("debug metrics missing csrc.parse.limit_rejects: %.300s", body)
+	}
+
+	var nest strings.Builder
+	nest.WriteString("long nest(int a, int b) {\n  long x = b;\n")
+	for d := 0; d < 260; d++ {
+		fmt.Fprintf(&nest, "  if (a > %d) {\n  x = x + %d;\n", d, 1+d%9)
+	}
+	nest.WriteString(strings.Repeat("  }\n", 260) + "  return x;\n}\n")
+	resp, raw = post(t, client, hs.URL+"/v1/decompile", fmt.Sprintf(`{"source": %q, "opt": 2}`, nest.String()), nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("depth-260 nest: status %d, body %.300s", resp.StatusCode, raw)
+	}
+}
+
 // TestBatchedAndUnbatchedResponsesIdentical proves -no-batch is purely a
 // scheduling change: both modes return byte-identical bodies.
 func TestBatchedAndUnbatchedResponsesIdentical(t *testing.T) {

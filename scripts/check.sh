@@ -22,7 +22,9 @@
 # batcher/admission/e2e suites and the modelstore storm test under -race,
 # then a live smoke — served is started on an ephemeral port, /healthz is
 # polled, a short loadgen run over the full endpoint mix must finish with
-# zero errors, /debug/metrics must expose the serve.request series, a
+# zero errors, a depth-260 nest must decompile and a body of 10^6 nested
+# `!` must be a 400 counted as csrc.parse.limit_rejects, /debug/metrics
+# must expose the serve.request series, a
 # /v1/study response must hash byte-identical to the studysim CLI at seed
 # 26, and SIGTERM must drain cleanly. The smoke (without the -race test
 # pass, which the default gate already runs) also runs as part of the
@@ -80,7 +82,9 @@ store_identity_sweep() {
 
 # serve_smoke builds served and loadgen, boots the server on an ephemeral
 # port, and proves the serving path end to end: a zero-error loadgen run
-# over the full endpoint mix, the serve.request series on /debug/metrics,
+# over the full endpoint mix, a deep nest that decompiles and an
+# over-nested body that is a counted 400, the serve.request series on
+# /debug/metrics,
 # /v1/study bytes identical to the studysim CLI at seed 26, and a clean
 # SIGTERM drain.
 serve_smoke() {
@@ -141,6 +145,42 @@ serve_smoke() {
 		exit 1
 	fi
 	echo "   loadgen smoke: $(sed -n 's/.*"requests": \([0-9]*\),.*/\1/p' "$smoke_tmp/loadgen.json" | head -n 1) requests, 0 errors"
+
+	# Deep input: a depth-260 nest (the deep end of the benchmark's tail)
+	# decompiles, and 10^6 nested `!` is a 400 from the parser's nesting
+	# limit instead of a goroutine stack overflow that ends the process.
+	{
+		printf '{"source": "long nest(int a, int b) { long x = b; '
+		for d in $(seq 0 259); do printf 'if (a > %d) { x = x + %d; ' "$d" $((1 + d % 9)); done
+		for _ in $(seq 1 260); do printf '} '; done
+		printf 'return x; }", "opt": 2}'
+	} >"$smoke_tmp/nest.json"
+	{
+		printf '{"source": "int f(int a){ return '
+		head -c 1000000 /dev/zero | tr '\0' '!'
+		printf 'a; }"}'
+	} >"$smoke_tmp/nots.json"
+	for probe in "nest.json 200" "nots.json 400"; do
+		set -- $probe
+		code="$(curl -s -o "$smoke_tmp/probe.out" -w '%{http_code}' -X POST \
+			--data-binary "@$smoke_tmp/$1" "http://$addr/v1/decompile")"
+		if [ "$code" != "$2" ]; then
+			echo "serve: /v1/decompile $1 -> HTTP $code, want $2:"
+			head -c 300 "$smoke_tmp/probe.out"
+			echo
+			kill "$spid" 2>/dev/null || true
+			rm -rf "$smoke_tmp"
+			exit 1
+		fi
+	done
+	code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/healthz")"
+	if [ "$code" != "200" ] || ! curl -s "http://$addr/debug/metrics?format=json" | grep -q 'csrc.parse.limit_rejects'; then
+		echo "serve: after the nesting-limit rejection /healthz -> HTTP $code or csrc.parse.limit_rejects missing on /debug/metrics"
+		kill "$spid" 2>/dev/null || true
+		rm -rf "$smoke_tmp"
+		exit 1
+	fi
+	echo "   depth-260 nest -> 200, 10^6 nested ! -> 400 (counted), server still healthy"
 
 	if ! curl -s "http://$addr/debug/metrics?format=json" | grep -q 'serve.request'; then
 		echo "serve: /debug/metrics is missing the serve.request series"

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check check chaos debug-smoke opt-check store-check serve-check bench bench-pipeline bench-kernels bench-opt bench-serve bench-smoke clean
+.PHONY: all build test race vet lint fmt-check check chaos debug-smoke opt-check store-check serve-check bench bench-smoke clean
 
 all: build test
 
@@ -70,41 +70,14 @@ store-check:
 serve-check:
 	./scripts/check.sh serve
 
-# Measure the parallel pipeline at jobs=1,2,4,8 and record ns/op plus the
-# speedup over the sequential baseline, the per-stage breakdown, and the
-# Amdahl serial-fraction estimate in BENCH_pipeline.json.
+# The repository benchmark (perfbench/, declared in BENCHMARK.json): each
+# workload builds served and the driver from this checkout and prints a
+# JSON report of latency, capacity, CPU and memory per operation. Go
+# micro-benchmarks are plain `go test -run NONE -bench <regexp> -benchmem`.
 bench:
-	./scripts/bench.sh
-
-# The pipeline measurement by its explicit name: jobs sweep, cold-vs-warm
-# model store, and the batched ablation grid, gated against the committed
-# BENCH_pipeline.json (>10% ns/op regressions and serial-fraction rises
-# print warnings).
-bench-pipeline:
-	./scripts/bench.sh pipeline
-
-# Measure the serial hot kernels (embedding training, cosine cache paths,
-# Levenshtein, metric battery, mixed-model fits) with -benchmem and record
-# ns/op + allocs/op against the pre-optimization baseline in
-# BENCH_kernels.json, warning on >10% regressions vs the committed file.
-bench-kernels:
-	./scripts/bench.sh kernels
-
-# Measure the verified optimizer over the full corpus (SSA round-trips,
-# verifier gates, differential execution) and record ns/op, the corpus
-# instruction shrink per level, and the per-pass time split in
-# BENCH_opt.json.
-bench-opt:
-	./scripts/bench.sh opt
-
-# Measure decompilation-as-a-service: served is booted twice on ephemeral
-# ports — batched and -no-batch at the same worker count — and loadgen
-# replays the same closed-loop mix against each. Records both full reports
-# plus the batched-over-unbatched throughput ratio and p50/p90/p99 in
-# BENCH_serve.json, warning on a >10% batched-p99 regression vs the
-# committed file.
-bench-serve:
-	./scripts/bench.sh serve
+	bash perfbench/run.sh --workload study
+	bash perfbench/run.sh --workload serve_snippets
+	bash perfbench/run.sh --workload serve_sources
 
 # One iteration of every benchmark — catches bit-rot in the bench suite
 # without the cost of a real measurement run.

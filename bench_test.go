@@ -2,7 +2,9 @@
 // figure in the paper's evaluation section (DESIGN.md §3 maps each
 // benchmark to its artifact). Each BenchmarkTableX/BenchmarkFigureX runs
 // the corresponding experiment driver end-to-end against the shared study;
-// the Pipeline benchmarks measure the substrates themselves.
+// the Pipeline benchmarks measure the substrates themselves. End-to-end
+// performance (latency, capacity, CPU and memory per operation) is
+// measured by perfbench/, not here.
 //
 // Run everything with:
 //
@@ -11,7 +13,6 @@ package decompstudy
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -25,9 +26,7 @@ import (
 	"decompstudy/internal/embed"
 	"decompstudy/internal/experiments"
 	"decompstudy/internal/metrics"
-	"decompstudy/internal/modelstore"
 	"decompstudy/internal/obs"
-	"decompstudy/internal/par"
 	"decompstudy/internal/survey"
 )
 
@@ -116,179 +115,6 @@ func BenchmarkFullStudy(b *testing.B) {
 		if _, err := core.New(&core.Config{Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// reportStages converts accumulated span totals into the per-stage ns/*
-// custom metrics shared by the stage benchmarks. The prepare stage is
-// summed from per-snippet corpus.Prepare spans (the streaming pipeline has
-// no corpus.PrepareAll barrier; the barrier path nests Prepare under
-// PrepareAll, so the barrier total is the PrepareAll span alone).
-func reportStages(b *testing.B, stageTotals map[string]time.Duration, n float64) {
-	b.Helper()
-	report := func(metric string, stages ...string) {
-		var total time.Duration
-		for _, st := range stages {
-			total += stageTotals[st]
-		}
-		b.ReportMetric(float64(total.Nanoseconds())/n, metric)
-	}
-	if _, barrier := stageTotals["corpus.PrepareAll"]; barrier {
-		report("ns/prepare", "corpus.PrepareAll")
-	} else {
-		report("ns/prepare", "corpus.Prepare")
-	}
-	report("ns/opt", "opt.OptimizeObject")
-	report("ns/train", "embed.Train", "namerec.TrainModel")
-	report("ns/survey", "survey.Run")
-	report("ns/metrics", "metrics.Evaluate")
-	report("ns/panel", "qualcode.RatePanel")
-}
-
-// BenchmarkStudyStages measures one instrumented end-to-end run (pipeline
-// plus both mixed-model fits) and breaks the wall-clock into per-stage
-// custom metrics from the obs span collector: ns/prepare, ns/opt,
-// ns/train, ns/survey, ns/metrics, ns/panel, ns/fit.
-func BenchmarkStudyStages(b *testing.B) {
-	b.ReportAllocs()
-	stageTotals := map[string]time.Duration{}
-	for i := 0; i < b.N; i++ {
-		o := obs.New()
-		ctx := obs.With(context.Background(), o)
-		s, err := core.NewCtx(ctx, &core.Config{Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.AnalyzeCorrectnessCtx(ctx); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.AnalyzeTimingCtx(ctx); err != nil {
-			b.Fatal(err)
-		}
-		for name, d := range o.Trace.StageTotals() {
-			stageTotals[name] += d
-		}
-	}
-	n := float64(b.N)
-	reportStages(b, stageTotals, n)
-	fit := stageTotals["mixed.FitGLMMLogit"] + stageTotals["mixed.FitLMM"]
-	b.ReportMetric(float64(fit.Nanoseconds())/n, "ns/fit")
-}
-
-// BenchmarkPipelineParallel measures one complete pipeline run at fixed
-// worker counts and reports each count's speedup over the jobs=1 baseline
-// as an x/speedup custom metric, plus the per-stage wall-clock breakdown
-// (from the obs span collector, mirroring BenchmarkStudyStages) and an
-// Amdahl serial-fraction estimate: from measured speedup S at N workers,
-// f = (1/S − 1/N) / (1 − 1/N) is the fraction of the run that did not
-// parallelize. Every sub-benchmark produces the same study bytes — the
-// fan-outs are deterministic — so the comparison is pure scheduling. On a
-// single-core host the speedups hover around 1.0 and f near 1;
-// scripts/bench.sh records the numbers either way in BENCH_pipeline.json.
-func BenchmarkPipelineParallel(b *testing.B) {
-	// runStudies is one sub-benchmark body: n full pipeline runs at the
-	// given worker count, optionally resolving models through a store
-	// (mkStore is called once per iteration; return the same store for a
-	// warm cache, a fresh one for a cold cache). Returns ns/op.
-	runStudies := func(b *testing.B, jobs int, mkStore func() *modelstore.Store) float64 {
-		ctx := par.WithJobs(context.Background(), jobs)
-		stageTotals := map[string]time.Duration{}
-		var lookups, hits, diskHits int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o := obs.New()
-			runCtx := obs.With(ctx, o)
-			var st *modelstore.Store
-			if mkStore != nil {
-				st = mkStore()
-				before := st.Stats()
-				lookups -= before.Lookups
-				hits -= before.Hits
-				diskHits -= before.DiskHits
-				runCtx = modelstore.With(runCtx, st)
-			}
-			if _, err := core.NewCtx(runCtx, &core.Config{Seed: int64(i + 1), Jobs: jobs}); err != nil {
-				b.Fatal(err)
-			}
-			if st != nil {
-				after := st.Stats()
-				lookups += after.Lookups
-				hits += after.Hits
-				diskHits += after.DiskHits
-			}
-			for name, d := range o.Trace.StageTotals() {
-				stageTotals[name] += d
-			}
-		}
-		b.StopTimer()
-		n := float64(b.N)
-		reportStages(b, stageTotals, n)
-		if mkStore != nil && lookups > 0 {
-			b.ReportMetric(float64(hits+diskHits)/float64(lookups), "hit/rate")
-		}
-		return float64(b.Elapsed().Nanoseconds()) / n
-	}
-
-	var baseline float64 // ns/op at jobs=1, no store
-	for _, jobs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			perOp := runStudies(b, jobs, nil)
-			if jobs == 1 {
-				baseline = perOp
-			}
-			if baseline > 0 && perOp > 0 {
-				s := baseline / perOp
-				b.ReportMetric(s, "x/speedup")
-				if jobs > 1 {
-					invN := 1 / float64(jobs)
-					f := (1/s - invN) / (1 - invN)
-					b.ReportMetric(f, "serial/fraction")
-				}
-			}
-		})
-	}
-
-	// The store dimension, both at the full worker count: cold pays one
-	// training per model per run (a fresh store every iteration); warm
-	// shares one pre-trained store across every run, so training cost
-	// vanishes from the loop. speedup here is warm-vs-cold leverage —
-	// it is real even on a single core, unlike scheduling speedup.
-	var coldOp float64
-	b.Run("store=cold/jobs=8", func(b *testing.B) {
-		coldOp = runStudies(b, 8, modelstore.New)
-	})
-	b.Run("store=warm/jobs=8", func(b *testing.B) {
-		warm := modelstore.New()
-		if _, err := core.NewCtx(modelstore.With(context.Background(), warm), &core.Config{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-		perOp := runStudies(b, 8, func() *modelstore.Store { return warm })
-		if coldOp > 0 && perOp > 0 {
-			b.ReportMetric(coldOp/perOp, "x/speedup")
-		}
-	})
-}
-
-// BenchmarkAblationGrid measures the batched five-cell ablation grid: one
-// shared corpus preparation and one model training feeding every cell
-// through the content-addressed store. The hit/rate metric confirms the
-// cells actually shared models instead of retraining.
-func BenchmarkAblationGrid(b *testing.B) {
-	b.ReportAllocs()
-	var lookups, hits int64
-	for i := 0; i < b.N; i++ {
-		st := modelstore.New()
-		ctx := modelstore.With(context.Background(), st)
-		if _, _, err := experiments.AblationsCtx(ctx, int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-		s := st.Stats()
-		lookups += s.Lookups
-		hits += s.Hits + s.DiskHits
-	}
-	if lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "hit/rate")
 	}
 }
 
@@ -459,7 +285,7 @@ func BenchmarkInterpreter(b *testing.B) {
 // BenchmarkAnalysis measures one static-analysis sweep over every study
 // snippet (verifier, lint checkers, complexity covariates) and splits
 // the wall-clock into ns/verify and ns/liveness custom metrics from the
-// obs span collector, mirroring BenchmarkStudyStages.
+// obs span collector.
 func BenchmarkAnalysis(b *testing.B) {
 	var funcs []*compile.Func
 	for _, s := range corpus.Snippets() {

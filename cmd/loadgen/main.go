@@ -1,20 +1,20 @@
 // Command loadgen replays a configurable request mix against a running
 // served instance and reports throughput, error rates, and exact
-// p50/p90/p99 latency percentiles as JSON — the repo's service-level
-// benchmark harness.
+// p50/p90/p99 latency percentiles as JSON. It drives the zero-error
+// serving smoke in scripts/check.sh.
 //
 // Usage:
 //
-//	loadgen -addr HOST:PORT [-duration D] [-conns N] [-rps N]
+//	loadgen -addr HOST:PORT [-duration D] [-conns N]
 //	        [-mix "annotate=4,metrics=2,decompile=2,lint=1"] [-opt N]
 //	        [-timeout D] [-out FILE]
 //
-// With -rps 0 (the default) it runs closed-loop: each of -conns workers
-// issues its next request as soon as the previous one completes, which
-// measures the server's saturation throughput. With -rps > 0 it runs
-// open-loop at the target rate. The mix cycles deterministically over
-// the four study snippets, so concurrent requests repeat — exactly the
-// shape the server's batch coalescing exploits.
+// It runs closed-loop: each of -conns workers issues its next request as
+// soon as the previous one completes. The mix cycles deterministically
+// over the four study snippets, so concurrent requests repeat — exactly
+// the shape the server's batch coalescing exploits. It exits 1 if any
+// request fails, times out or returns a truncated body. The repository's
+// latency and capacity benchmark, open loop included, is perfbench/.
 //
 // The JSON report lands on stdout (or -out) with one key per line, so
 // shell gates can grep fields like `"errors": 0` without a JSON parser.
@@ -72,10 +72,8 @@ type latStats struct {
 // report is the emitted JSON document.
 type report struct {
 	Target          string              `json:"target"`
-	Mode            string              `json:"mode"`
 	Mix             string              `json:"mix"`
 	Conns           int                 `json:"conns"`
-	RPSTarget       float64             `json:"rps_target"`
 	DurationSeconds float64             `json:"duration_seconds"`
 	Requests        int                 `json:"requests"`
 	Errors          int                 `json:"errors"`
@@ -98,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "", "served address (HOST:PORT, required)")
 	duration := fs.Duration("duration", 5*time.Second, "measurement duration")
 	conns := fs.Int("conns", 8, "concurrent worker connections")
-	rps := fs.Float64("rps", 0, "target request rate (0 = closed-loop: issue as fast as the server answers)")
 	mix := fs.String("mix", "annotate=4,metrics=2,decompile=2,lint=1", "request mix as kind=weight pairs (kinds: annotate, metrics, decompile, lint, study)")
 	optLevel := fs.Int("opt", 0, "optimization level sent with every request")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
@@ -146,49 +143,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	deadline := start.Add(*duration)
 
-	if *rps > 0 {
-		// Open loop: a ticker releases tokens at the target rate; workers
-		// block on tokens, so a slow server makes the achieved rate (not
-		// the latency of queued-but-unsent requests) show the shortfall.
-		interval := time.Duration(float64(time.Second) / *rps)
-		if interval <= 0 {
-			interval = time.Microsecond
+	runWorkers(*conns, func(w int) {
+		for time.Now().Before(deadline) {
+			i := int(next.Add(1)) % len(schedule)
+			results[w] = append(results[w], shoot(client, base, schedule[i]))
 		}
-		tokens := make(chan struct{}, *conns)
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for time.Now().Before(deadline) {
-				<-tick.C
-				select {
-				case tokens <- struct{}{}:
-				default: // all workers busy: shed the tick
-				}
-			}
-			close(tokens)
-		}()
-		runWorkers(*conns, func(w int) {
-			for range tokens {
-				i := int(next.Add(1)) % len(schedule)
-				results[w] = append(results[w], shoot(client, base, schedule[i]))
-			}
-		})
-	} else {
-		runWorkers(*conns, func(w int) {
-			for time.Now().Before(deadline) {
-				i := int(next.Add(1)) % len(schedule)
-				results[w] = append(results[w], shoot(client, base, schedule[i]))
-			}
-		})
-	}
+	})
 	elapsed := time.Since(start)
 
 	rep := summarize(results, report{
 		Target:          base,
-		Mode:            map[bool]string{true: "open-loop", false: "closed-loop"}[*rps > 0],
 		Mix:             *mix,
 		Conns:           *conns,
-		RPSTarget:       *rps,
 		DurationSeconds: elapsed.Seconds(),
 		Host:            hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 	})

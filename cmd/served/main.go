@@ -6,7 +6,7 @@
 // Usage:
 //
 //	served [-addr HOST:PORT] [-jobs N] [-batch-size N] [-batch-delay D]
-//	       [-queue N] [-study-concurrency N] [-no-batch]
+//	       [-queue N] [-study-concurrency N]
 //	       [-allow-fault-header] [-model-cache DIR | -no-model-cache]
 //	       [-addr-file PATH] [-drain-timeout D] [-v | -log-level L]
 //
@@ -19,11 +19,10 @@
 // the server and discover the port race-free (or read it from -addr-file).
 //
 // Annotate and metric requests are coalesced into size/latency-bounded
-// batches (identical concurrent requests are computed once); -no-batch
-// serves them per-request at the same worker count, as the benchmark
-// baseline. Saturation returns 503 with Retry-After. SIGTERM/SIGINT
-// drain gracefully: in-flight and queued requests complete (up to
-// -drain-timeout), then the process exits.
+// batches (identical concurrent requests are computed once). Saturation
+// returns 503 with Retry-After. SIGTERM/SIGINT drain gracefully: in-flight
+// and queued requests complete (up to -drain-timeout), then the process
+// exits.
 package main
 
 import (
@@ -53,13 +52,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address; port 0 picks a free port (reported on stdout)")
 	addrFile := fs.String("addr-file", "", "also write the bound address to this file (race-free discovery for scripts)")
-	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker budget: batch fan-out width, and per-request concurrency in -no-batch mode")
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker budget: batch fan-out width, and concurrent decompile/lint requests")
 	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max items per batch flush")
 	batchDelay := fs.Duration("batch-delay", serve.DefaultBatchDelay, "max wait from first queued item to flush")
 	queue := fs.Int("queue", serve.DefaultQueue, "per-endpoint admission queue depth (beyond it: 503)")
 	studyConc := fs.Int("study-concurrency", serve.DefaultStudyConcurrency, "concurrent /v1/study runs")
 	studyQueue := fs.Int("study-queue", serve.DefaultStudyQueue, "/v1/study wait queue depth")
-	noBatch := fs.Bool("no-batch", false, "serve annotate/metrics per request instead of batched (benchmark baseline)")
 	allowFault := fs.Bool("allow-fault-header", false, "honor X-Fault-Plan chaos headers (off by default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
 	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
@@ -93,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Queue:            *queue,
 		StudyConcurrency: *studyConc,
 		StudyQueue:       *studyQueue,
-		NoBatch:          *noBatch,
 		AllowFaultHeader: *allowFault,
 	})
 	if err != nil {
@@ -101,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer srv.Close()
-	fmt.Fprintf(stderr, "served: models warm in %s (jobs=%d batch=%d/%s queue=%d no-batch=%v)\n",
-		time.Since(warmStart).Round(time.Millisecond), *jobs, *batchSize, *batchDelay, *queue, *noBatch)
+	fmt.Fprintf(stderr, "served: models warm in %s (jobs=%d batch=%d/%s queue=%d)\n",
+		time.Since(warmStart).Round(time.Millisecond), *jobs, *batchSize, *batchDelay, *queue)
 
 	// Catch SIGTERM/SIGINT before the address is published: a stop sent
 	// right after discovery must drain, never kill the process.

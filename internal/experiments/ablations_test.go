@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"decompstudy/internal/modelstore"
+	"decompstudy/internal/par"
 )
 
 var (
@@ -85,5 +89,27 @@ func TestAblationHarderQuestionsKeepsNull(t *testing.T) {
 	if hard.DirtyLogitP < 0.05 && hard.DirtyLogit > 0.4 {
 		t.Errorf("harder questions should not manufacture a positive treatment effect: %+.3f (p=%.3f)",
 			hard.DirtyLogit, hard.DirtyLogitP)
+	}
+}
+
+// TestAblationGridSharesOneTraining pins the batched grid's model reuse:
+// the five cells resolve both models (embedding + name recovery) through
+// one store, so exactly two trainings happen and the other eight lookups
+// are hits, at any worker count.
+func TestAblationGridSharesOneTraining(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		st := modelstore.New()
+		ctx := modelstore.With(par.WithJobs(context.Background(), jobs), st)
+		if _, _, err := AblationsCtx(ctx, 1); err != nil {
+			t.Fatalf("jobs=%d: AblationsCtx: %v", jobs, err)
+		}
+		s := st.Stats()
+		if s.Trains != 2 {
+			t.Errorf("jobs=%d: %d trainings, want 2 (one per model for all five cells)", jobs, s.Trains)
+		}
+		if s.Lookups != 10 || s.Hits+s.DiskHits != 8 {
+			t.Errorf("jobs=%d: %d lookups with %d hits + %d disk hits, want 10 with 8 served without training",
+				jobs, s.Lookups, s.Hits, s.DiskHits)
+		}
 	}
 }

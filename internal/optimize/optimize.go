@@ -1,8 +1,6 @@
-// Package optimize provides derivative-free and quasi-Newton optimizers used
-// to fit the mixed-effects models in this project: Nelder-Mead simplex
-// minimization for low-dimensional variance-parameter searches,
-// golden-section search for one-dimensional profiles, and central-difference
-// numerical gradients/Hessians for Wald standard errors.
+// Package optimize provides the derivative-free optimizer used to fit the
+// mixed-effects models in this project: Nelder-Mead simplex minimization
+// for low-dimensional variance-parameter searches.
 package optimize
 
 import (
@@ -177,92 +175,4 @@ func NelderMead(f Objective, x0 []float64, cfg *NelderMeadConfig) (Result, error
 	}
 	sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
 	return Result{X: simplex[0].x, F: simplex[0].f, Iterations: iter, Converged: false}, nil
-}
-
-// GoldenSection minimizes a one-dimensional function on [a, b] to within tol.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (x, fx float64, err error) {
-	if b <= a {
-		return 0, 0, fmt.Errorf("optimize: golden section needs a < b, got [%g, %g]", a, b)
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	const invPhi = 0.6180339887498949
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for i := 0; i < 500 && (b-a) > tol; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x), nil
-}
-
-// Gradient estimates the gradient of f at x with central differences.
-func Gradient(f Objective, x []float64, h float64) []float64 {
-	if h <= 0 {
-		h = 1e-6
-	}
-	g := make([]float64, len(x))
-	xp := append([]float64(nil), x...)
-	for i := range x {
-		step := h * (1 + math.Abs(x[i]))
-		xp[i] = x[i] + step
-		fp := f(xp)
-		xp[i] = x[i] - step
-		fm := f(xp)
-		xp[i] = x[i]
-		g[i] = (fp - fm) / (2 * step)
-	}
-	return g
-}
-
-// Hessian estimates the Hessian of f at x with central differences. The
-// result is symmetrized.
-func Hessian(f Objective, x []float64, h float64) [][]float64 {
-	if h <= 0 {
-		h = 1e-4
-	}
-	n := len(x)
-	hess := make([][]float64, n)
-	for i := range hess {
-		hess[i] = make([]float64, n)
-	}
-	f0 := f(x)
-	xp := append([]float64(nil), x...)
-	steps := make([]float64, n)
-	for i := range x {
-		steps[i] = h * (1 + math.Abs(x[i]))
-	}
-	for i := 0; i < n; i++ {
-		// Diagonal: (f(x+h) - 2f(x) + f(x-h)) / h².
-		xp[i] = x[i] + steps[i]
-		fp := f(xp)
-		xp[i] = x[i] - steps[i]
-		fm := f(xp)
-		xp[i] = x[i]
-		hess[i][i] = (fp - 2*f0 + fm) / (steps[i] * steps[i])
-		for j := i + 1; j < n; j++ {
-			xp[i], xp[j] = x[i]+steps[i], x[j]+steps[j]
-			fpp := f(xp)
-			xp[j] = x[j] - steps[j]
-			fpm := f(xp)
-			xp[i] = x[i] - steps[i]
-			fmm := f(xp)
-			xp[j] = x[j] + steps[j]
-			fmp := f(xp)
-			xp[i], xp[j] = x[i], x[j]
-			v := (fpp - fpm - fmp + fmm) / (4 * steps[i] * steps[j])
-			hess[i][j], hess[j][i] = v, v
-		}
-	}
-	return hess
 }

@@ -60,48 +60,6 @@ func TestNelderMeadEmptyStart(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	x, fx, err := GoldenSection(f, -10, 10, 1e-9)
-	if err != nil {
-		t.Fatalf("GoldenSection: %v", err)
-	}
-	if math.Abs(x-1.5) > 1e-6 {
-		t.Errorf("min at %v, want 1.5", x)
-	}
-	if fx > 1e-10 {
-		t.Errorf("f(min) = %v, want ~0", fx)
-	}
-}
-
-func TestGoldenSectionBadInterval(t *testing.T) {
-	if _, _, err := GoldenSection(math.Sin, 3, 1, 1e-6); err == nil {
-		t.Fatal("inverted interval: want error")
-	}
-}
-
-func TestGradient(t *testing.T) {
-	f := func(x []float64) float64 { return x[0]*x[0] + 3*x[0]*x[1] }
-	g := Gradient(f, []float64{2, 1}, 0)
-	// df/dx0 = 2x0 + 3x1 = 7; df/dx1 = 3x0 = 6.
-	if math.Abs(g[0]-7) > 1e-5 || math.Abs(g[1]-6) > 1e-5 {
-		t.Errorf("gradient = %v, want [7 6]", g)
-	}
-}
-
-func TestHessian(t *testing.T) {
-	f := func(x []float64) float64 { return 2*x[0]*x[0] + 5*x[0]*x[1] + 3*x[1]*x[1] }
-	h := Hessian(f, []float64{0.3, -0.7}, 0)
-	want := [][]float64{{4, 5}, {5, 6}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(h[i][j]-want[i][j]) > 1e-3 {
-				t.Errorf("H[%d][%d] = %v, want %v", i, j, h[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 // Property: Nelder-Mead finds the vertex of a random positive-definite
 // quadratic in 2D.
 func TestQuickNelderMeadQuadratics(t *testing.T) {

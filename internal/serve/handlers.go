@@ -199,8 +199,7 @@ func coalesceKey(it workItem, faultSpec string) string {
 
 // processBatch computes one flush: the unique items fan out over the
 // server's worker budget, each computed single-worker under its own
-// request context — total parallelism equals NoBatch mode at the same
-// Jobs, so measured wins come from coalescing, not extra workers.
+// request context, so a flush never uses more than Jobs workers.
 func (s *Server) processBatch(ctx context.Context, items []workItem, ctxs []context.Context) ([]any, []error) {
 	return par.MapAll(ctx, s.opts.Jobs, items, func(_ context.Context, i int, it workItem) (any, error) {
 		return s.computeItem(ctxs[i], it)
@@ -224,20 +223,6 @@ func (s *Server) computeItem(ctx context.Context, it workItem) (any, error) {
 		return s.metricsResponseFrom(ctx, p)
 	}
 	return nil, fmt.Errorf("serve: unknown work kind %q", it.kind)
-}
-
-// submitWork routes an item through the batcher, or — in NoBatch mode —
-// computes it directly under the work limiter. Both paths produce
-// identical responses; only scheduling differs.
-func (s *Server) submitWork(r *http.Request, procCtx context.Context, key string, it workItem) (any, error) {
-	if s.opts.NoBatch {
-		if err := s.work.Acquire(r.Context()); err != nil {
-			return nil, err
-		}
-		defer s.work.Release()
-		return s.computeItem(procCtx, it)
-	}
-	return s.batch.Submit(r.Context(), procCtx, key, it)
 }
 
 // AnnotateRequest asks for the DIRTY-style annotated arm of a study
@@ -303,7 +288,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	it := workItem{kind: "annotate", snippet: sn, level: level}
-	out, err := s.submitWork(r, procCtx, coalesceKey(it, spec), it)
+	out, err := s.batch.Submit(r.Context(), procCtx, coalesceKey(it, spec), it)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -390,7 +375,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	it := workItem{kind: "metrics", snippet: sn, level: level}
-	out, err := s.submitWork(r, procCtx, coalesceKey(it, spec), it)
+	out, err := s.batch.Submit(r.Context(), procCtx, coalesceKey(it, spec), it)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -30,9 +30,7 @@ const (
 // Jobs zero means GOMAXPROCS.
 type Options struct {
 	// Jobs is the worker budget: batch flushes fan out over this many
-	// workers, and in NoBatch mode this many requests compute at once —
-	// the two modes always spend equal worker counts, so benchmark
-	// comparisons isolate batching itself.
+	// workers, and this many decompile/lint requests compute at once.
 	Jobs int
 	// BatchSize and BatchDelay bound a flush: it fires at BatchSize items
 	// or BatchDelay after the first queued item, whichever comes first.
@@ -45,10 +43,6 @@ type Options struct {
 	// endpoint separately (a study run is ~10^4x an annotate request).
 	StudyConcurrency int
 	StudyQueue       int
-	// NoBatch serves annotate/metrics per request under a plain
-	// concurrency limiter instead of the batcher — the benchmark baseline
-	// loadgen compares against.
-	NoBatch bool
 	// AllowFaultHeader honors X-Fault-Plan chaos headers. Off by default:
 	// arbitrary callers must not be able to inject faults.
 	AllowFaultHeader bool
@@ -102,7 +96,6 @@ type Server struct {
 
 	batch    *Batcher[workItem, any]
 	pipeline *Limiter // decompile + lint
-	work     *Limiter // annotate/metrics in NoBatch mode
 	study    *Limiter
 
 	mux      *http.ServeMux
@@ -128,7 +121,6 @@ func NewServer(parent context.Context, o *obs.Obs, store *modelstore.Store, opts
 		cancel:   cancel,
 		o:        o,
 		pipeline: NewLimiter("pipeline", opts.Jobs, opts.Queue),
-		work:     NewLimiter("work", opts.Jobs, opts.Queue),
 		study:    NewLimiter("study", opts.StudyConcurrency, opts.StudyQueue),
 	}
 	if err := s.warmModels(base, store); err != nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/experiments"
@@ -223,22 +224,48 @@ func TestNestingLimitIsA400(t *testing.T) {
 	}
 }
 
-// TestBatchedAndUnbatchedResponsesIdentical proves -no-batch is purely a
-// scheduling change: both modes return byte-identical bodies.
-func TestBatchedAndUnbatchedResponsesIdentical(t *testing.T) {
-	_, batched := newTestServer(t, Options{})
-	_, unbatched := newTestServer(t, Options{NoBatch: true})
-	reqs := []struct{ path, body string }{
-		{"/v1/annotate", `{"snippet": "AEEK"}`},
-		{"/v1/annotate", `{"snippet": "POSTORDER", "opt": 2}`},
-		{"/v1/metrics", `{"snippet": "TC"}`},
-		{"/v1/metrics", `{"snippet": "BAPL", "opt": 1}`},
+// TestBatchedResponsesMatchDirectCompute proves batching is invisible in
+// bytes: the same four requests, sent concurrently so they share flushes,
+// each come back byte-equal to the item computed directly in-process and
+// encoded the way the handler encodes it.
+func TestBatchedResponsesMatchDirectCompute(t *testing.T) {
+	srv, hs := newTestServer(t, Options{})
+	sn := func(id string) *corpus.Snippet {
+		s, _ := corpus.SnippetByID(id)
+		return s
 	}
-	for _, rq := range reqs {
-		_, a := post(t, batched.Client(), batched.URL+rq.path, rq.body, nil)
-		_, b := post(t, unbatched.Client(), unbatched.URL+rq.path, rq.body, nil)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s %s: batched and unbatched bodies differ", rq.path, rq.body)
+	reqs := []struct {
+		path, body string
+		item       workItem
+	}{
+		{"/v1/annotate", `{"snippet": "AEEK"}`, workItem{kind: "annotate", snippet: sn("AEEK")}},
+		{"/v1/annotate", `{"snippet": "POSTORDER", "opt": 2}`, workItem{kind: "annotate", snippet: sn("POSTORDER"), level: opt.O2}},
+		{"/v1/metrics", `{"snippet": "TC"}`, workItem{kind: "metrics", snippet: sn("TC")}},
+		{"/v1/metrics", `{"snippet": "BAPL", "opt": 1}`, workItem{kind: "metrics", snippet: sn("BAPL"), level: opt.O1}},
+	}
+	bodies := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, rq := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, raw := post(t, hs.Client(), hs.URL+rq.path, rq.body, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: status = %d, body %s", rq.path, rq.body, resp.StatusCode, raw)
+			}
+			bodies[i] = raw
+		}(i)
+	}
+	wg.Wait()
+	for i, rq := range reqs {
+		v, err := srv.computeItem(fault.WithManifest(srv.base, fault.NewManifest()), rq.item)
+		if err != nil {
+			t.Fatalf("%s %s: direct compute: %v", rq.path, rq.body, err)
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, v)
+		if !bytes.Equal(bodies[i], want.Body.Bytes()) {
+			t.Errorf("%s %s: batched body differs from the direct computation", rq.path, rq.body)
 		}
 	}
 }
@@ -248,59 +275,55 @@ func TestBatchedAndUnbatchedResponsesIdentical(t *testing.T) {
 // Retry-After — never a hang, never a partial body.
 func TestSaturationReturns503(t *testing.T) {
 	delayPlan := "seed=1; csrc.parse:delay,p=1,delay=200ms"
-	for name, opts := range map[string]Options{
-		"batched":  {Jobs: 1, BatchSize: 1, Queue: 1, AllowFaultHeader: true},
-		"no-batch": {Jobs: 1, Queue: 1, NoBatch: true, AllowFaultHeader: true},
-	} {
-		t.Run(name, func(t *testing.T) {
-			_, hs := newTestServer(t, opts)
-			client := hs.Client()
-			client.Timeout = 30 * time.Second
+	opts := Options{Jobs: 1, BatchSize: 1, Queue: 1, AllowFaultHeader: true}
+	t.Run("batched", func(t *testing.T) {
+		_, hs := newTestServer(t, opts)
+		client := hs.Client()
+		client.Timeout = 30 * time.Second
 
-			const n = 8
-			var wg sync.WaitGroup
-			codes := make([]int, n)
-			bodies := make([][]byte, n)
-			retryAfter := make([]string, n)
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
-						map[string]string{"X-Fault-Plan": delayPlan})
-					codes[i] = resp.StatusCode
-					bodies[i] = raw
-					retryAfter[i] = resp.Header.Get("Retry-After")
-				}(i)
-			}
-			wg.Wait()
+		const n = 8
+		var wg sync.WaitGroup
+		codes := make([]int, n)
+		bodies := make([][]byte, n)
+		retryAfter := make([]string, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
+					map[string]string{"X-Fault-Plan": delayPlan})
+				codes[i] = resp.StatusCode
+				bodies[i] = raw
+				retryAfter[i] = resp.Header.Get("Retry-After")
+			}(i)
+		}
+		wg.Wait()
 
-			saturated := 0
-			for i := 0; i < n; i++ {
-				switch codes[i] {
-				case http.StatusOK:
-					var ok AnnotateResponse
-					if err := json.Unmarshal(bodies[i], &ok); err != nil {
-						t.Errorf("request %d: 200 with unparseable body: %v", i, err)
-					}
-				case http.StatusServiceUnavailable:
-					saturated++
-					if retryAfter[i] == "" {
-						t.Errorf("request %d: 503 without Retry-After", i)
-					}
-					var e map[string]string
-					if err := json.Unmarshal(bodies[i], &e); err != nil || e["error"] == "" {
-						t.Errorf("request %d: 503 body incomplete: %s", i, bodies[i])
-					}
-				default:
-					t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
+		saturated := 0
+		for i := 0; i < n; i++ {
+			switch codes[i] {
+			case http.StatusOK:
+				var ok AnnotateResponse
+				if err := json.Unmarshal(bodies[i], &ok); err != nil {
+					t.Errorf("request %d: 200 with unparseable body: %v", i, err)
 				}
+			case http.StatusServiceUnavailable:
+				saturated++
+				if retryAfter[i] == "" {
+					t.Errorf("request %d: 503 without Retry-After", i)
+				}
+				var e map[string]string
+				if err := json.Unmarshal(bodies[i], &e); err != nil || e["error"] == "" {
+					t.Errorf("request %d: 503 body incomplete: %s", i, bodies[i])
+				}
+			default:
+				t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
 			}
-			if saturated == 0 {
-				t.Error("no request was shed: saturation path untested")
-			}
-		})
-	}
+		}
+		if saturated == 0 {
+			t.Error("no request was shed: saturation path untested")
+		}
+	})
 }
 
 func TestFaultHeaderGating(t *testing.T) {

@@ -3,9 +3,9 @@ package decompstudy
 // BenchmarkKernels measures the serial hot kernels the pipeline spends its
 // wall-clock in — the targets of the PR-4 kernel pass. Each sub-benchmark
 // isolates one kernel at jobs=1 so the numbers measure single-thread
-// throughput, not scheduling; scripts/bench.sh records ns/op and
-// allocs/op per kernel in BENCH_kernels.json and compares against the
-// committed pre-rewrite baseline.
+// throughput, not scheduling. Run with
+//
+//	go test -run NONE -bench BenchmarkKernels -benchmem .
 
 import (
 	"context"
@@ -85,7 +85,7 @@ func kernelSpec(b *testing.B, binary bool) *mixed.Spec {
 	}
 }
 
-// BenchmarkKernels is the per-kernel harness behind BENCH_kernels.json.
+// BenchmarkKernels is the per-kernel harness.
 func BenchmarkKernels(b *testing.B) {
 	ctx1 := par.WithJobs(context.Background(), 1)
 

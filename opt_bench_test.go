@@ -4,9 +4,8 @@ package decompstudy
 // (internal/compile/opt) over the full study corpus: SSA construction,
 // the constprop/copyprop/dce passes, out-of-SSA deconstruction with
 // coalescing, the per-pass verifier gate, and the differential execution
-// gate. One sub-benchmark per level; scripts/bench.sh opt records ns/op,
-// the corpus instruction shrink, and the per-pass time split in
-// BENCH_opt.json.
+// gate. One sub-benchmark per level, each reporting the corpus
+// instruction count before and after (instrs/before, instrs/after).
 
 import (
 	"context"

@@ -1,6 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, static analysis, build,
-# and the full test suite. Run from the repository root (or via `make check`).
+# the full test suite (plain and -race), vet + tests of the perfbench/
+# module, one iteration of every Go benchmark, the model-store identity
+# sweep and the serving smoke. Run from the repository root (or via
+# `make check`).
 #
 # `check.sh chaos` instead runs only the fault-injection chaos suite (the
 # full-pipeline fault-plan sweep plus the error-path contract and par
@@ -391,17 +394,25 @@ echo "== go test -race"
 # init or shared-slice write can't land.
 go test -race ./...
 
+echo "== perfbench module"
+# perfbench/ is its own module importing this one through a replace
+# directive, so root `go vet`/`go test` never compile it: deleting a repo
+# API it uses must fail here, not in the benchmark run.
+(
+	cd perfbench
+	export GOTOOLCHAIN=local GOFLAGS=-mod=readonly GOPROXY=off
+	go vet ./...
+	go test ./...
+)
+
+echo "== bench smoke"
+# One iteration of every Go benchmark, so none bit-rots unrun.
+go test -run NONE -bench . -benchtime 1x ./...
+
 echo "== model store identity"
 store_identity_sweep
 
 echo "== serve smoke"
 serve_smoke
-
-# Opt-in benchmark run: RUN_BENCH=1 ./scripts/check.sh additionally
-# records the parallel-pipeline measurements in BENCH_pipeline.json.
-if [ "${RUN_BENCH:-0}" = "1" ]; then
-	echo "== bench"
-	./scripts/bench.sh
-fi
 
 echo "OK"

@@ -50,8 +50,9 @@ debug-smoke:
 	./scripts/check.sh debug-smoke
 
 # The optimizer gate: the compile/opt unit + differential suites under
-# -race, a clean `irlint -corpus -opt 2`, dirty.c's seeded dead stores
-# deleted at -opt 1, and byte-identical studysim output at -O0.
+# -race, 10 s of FuzzOptimizeObject, a clean `irlint -corpus -opt 2`,
+# dirty.c's seeded dead stores deleted at -opt 1, and byte-identical
+# studysim output at -O0.
 opt-check:
 	./scripts/check.sh opt
 

@@ -63,6 +63,10 @@ func VerifyObject(ctx context.Context, obj *compile.Object) []Diag {
 type verifier struct {
 	fn    *compile.Func
 	diags []Diag
+	// eagerReach makes checkDefBeforeUse solve reaching definitions up
+	// front rather than on the first read that is not definitely
+	// assigned; tests use it as the reference for the lazy path.
+	eagerReach bool
 }
 
 func (v *verifier) add(sev Severity, check string, block, instr int, format string, args ...any) {
@@ -136,8 +140,13 @@ func (v *verifier) run() {
 // (error), and reads not definitely assigned along every path (warning —
 // legitimate for source like "int x; if (c) x = 1; use(x);", but worth
 // surfacing since the decompiler will render exactly that hazard).
+// Reaching definitions only tell the two apart, so they are solved on
+// the first such read; clean IR never needs them.
 func (v *verifier) checkDefBeforeUse(g *Graph) {
-	reach := ReachingDefs(g)
+	var reach *ReachInfo
+	if v.eagerReach {
+		reach = ReachingDefs(g)
+	}
 	assigned := DefiniteAssignment(g)
 	nt := g.Fn.NTemps
 	var scratch []int
@@ -154,6 +163,9 @@ func (v *verifier) checkDefBeforeUse(g *Graph) {
 				}
 				if t < g.Fn.NParams || cur.Has(t) {
 					continue
+				}
+				if reach == nil {
+					reach = ReachingDefs(g)
 				}
 				if len(reach.SitesOf(t)) == 0 {
 					v.add(SevError, "verify.def-before-use", b.ID, ii,

@@ -208,3 +208,31 @@ unsigned char low_ubyte(int x) {
 		t.Errorf("low_ubyte(0x1FF) = %d, want 255", got)
 	}
 }
+
+// TestInterpAddressOverflowFaults: addresses and lengths whose end wraps
+// past the int64 limit are out-of-bounds faults, not index panics.
+func TestInterpAddressOverflowFaults(t *testing.T) {
+	m := machineFor(t, `
+long wild_load(long p) {
+  return *(long *)p;
+}
+void wild_store(long p) {
+  *(long *)p = 1;
+}
+`, nil)
+	const top = 1<<63 - 3
+	for _, tc := range []struct {
+		name string
+		args []int64
+	}{
+		{"wild_load", []int64{top}},
+		{"wild_store", []int64{top}},
+		{"memcpy", []int64{16, 32, top}},
+		{"memmove", []int64{top, 32, 8}},
+		{"memset", []int64{16, 0, top}},
+	} {
+		if _, err := m.Call(tc.name, tc.args...); !errors.Is(err, ErrExec) {
+			t.Errorf("%s%v: err = %v, want ErrExec", tc.name, tc.args, err)
+		}
+	}
+}

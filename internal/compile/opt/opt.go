@@ -244,7 +244,7 @@ func OptimizeObject(ctx context.Context, obj *compile.Object, level Level) (*com
 		out.Funcs = append(out.Funcs, ofn)
 	}
 	for _, fn := range obj.Funcs {
-		if err := Equivalent(obj, out, fn.Name, diffVectors, diffSeed(fn.Name)); err != nil {
+		if err := EquivalentCtx(ctx, obj, out, fn.Name, diffVectors, diffSeed(fn.Name)); err != nil {
 			return nil, st, fmt.Errorf("%s: %w", level, err)
 		}
 	}

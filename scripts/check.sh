@@ -10,7 +10,9 @@
 # masking tests) under the race detector.
 #
 # `check.sh opt` instead runs only the optimizer gate under the race
-# detector: the compile/opt unit + differential suites, a clean
+# detector: the compile/opt unit + differential suites, 10 s of the
+# FuzzOptimizeObject fuzz target (a crasher fails the gate and is written
+# under internal/compile/opt/testdata/fuzz), a clean
 # `irlint -corpus -opt 2` (optimized corpus must verify and lint clean),
 # the expectation that -opt 1 deletes the seeded dead stores in
 # examples/lintdemo/dirty.c, and byte-identical studysim output at -O0.
@@ -238,6 +240,9 @@ if [ "${1:-}" = "opt" ]; then
 	echo "== opt (SSA pipeline: verifier + differential gates, -race)"
 	go test -race -count=1 ./internal/compile/opt/
 	go test -race -count=1 -run 'Opt' ./internal/corpus/ ./cmd/irlint/
+
+	echo "-- fuzz: mini-C through parse, lower, verify and -O1/-O2 (10s)"
+	go test -run NONE -fuzz FuzzOptimizeObject -fuzztime 10s ./internal/compile/opt/
 
 	echo "-- irlint: optimized corpus must stay clean"
 	go run ./cmd/irlint -corpus -opt 2

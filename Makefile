@@ -63,7 +63,7 @@ opt-check:
 store-check:
 	./scripts/check.sh store
 
-# The serving gate: the serve package's batcher/admission/e2e suites and
+# The serving gate: the serve package's admission/e2e suites and
 # the modelstore storm test under -race, then a live smoke — served on an
 # ephemeral port, a zero-error loadgen run over every endpoint, the
 # serve.request series on /debug/metrics, /v1/study byte-identical to the

@@ -11,9 +11,8 @@
 //
 // It runs closed-loop: each of -conns workers issues its next request as
 // soon as the previous one completes. The mix cycles deterministically
-// over the four study snippets, so concurrent requests repeat — exactly
-// the shape the server's batch coalescing exploits. It exits 1 if any
-// request fails, times out or returns a truncated body. The repository's
+// over the four study snippets, so a run is reproducible. It exits 1 if
+// any request fails, times out or returns a truncated body. The repository's
 // latency and capacity benchmark, open loop included, is perfbench/.
 //
 // The JSON report lands on stdout (or -out) with one key per line, so
@@ -196,7 +195,7 @@ func runWorkers(n int, fn func(w int)) {
 
 // buildSchedule expands the mix spec into a request cycle: each kind
 // repeated by weight, bodies cycling deterministically over the study
-// snippets so concurrent workers repeat requests (the coalescing shape).
+// snippets so a run is reproducible.
 func buildSchedule(mix string, optLevel int) ([]reqSpec, error) {
 	var schedule []reqSpec
 	snippetAt := 0

@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	served [-addr HOST:PORT] [-jobs N] [-batch-size N] [-batch-delay D]
-//	       [-queue N] [-study-concurrency N]
+//	served [-addr HOST:PORT] [-jobs N] [-queue N] [-study-concurrency N]
 //	       [-allow-fault-header] [-model-cache DIR | -no-model-cache]
 //	       [-addr-file PATH] [-drain-timeout D] [-v | -log-level L]
 //
@@ -18,11 +17,11 @@
 // `-addr :0` the kernel picks a free port, so scripts and tests can start
 // the server and discover the port race-free (or read it from -addr-file).
 //
-// Annotate and metric requests are coalesced into size/latency-bounded
-// batches (identical concurrent requests are computed once). Saturation
-// returns 503 with Retry-After. SIGTERM/SIGINT drain gracefully: in-flight
-// and queued requests complete (up to -drain-timeout), then the process
-// exits.
+// Annotate, metrics, decompile and lint requests share one admission
+// path: -jobs of them compute at once and -queue more wait; beyond that
+// the server returns 503 with Retry-After. SIGTERM/SIGINT drain
+// gracefully: in-flight and queued requests complete (up to
+// -drain-timeout), then the process exits.
 package main
 
 import (
@@ -52,10 +51,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address; port 0 picks a free port (reported on stdout)")
 	addrFile := fs.String("addr-file", "", "also write the bound address to this file (race-free discovery for scripts)")
-	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker budget: batch fan-out width, and concurrent decompile/lint requests")
-	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max items per batch flush")
-	batchDelay := fs.Duration("batch-delay", serve.DefaultBatchDelay, "max wait from first queued item to flush")
-	queue := fs.Int("queue", serve.DefaultQueue, "per-endpoint admission queue depth (beyond it: 503)")
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker budget: concurrent annotate/metrics/decompile/lint requests")
+	queue := fs.Int("queue", serve.DefaultQueue, "admission queue depth for those requests (beyond it: 503)")
 	studyConc := fs.Int("study-concurrency", serve.DefaultStudyConcurrency, "concurrent /v1/study runs")
 	studyQueue := fs.Int("study-queue", serve.DefaultStudyQueue, "/v1/study wait queue depth")
 	allowFault := fs.Bool("allow-fault-header", false, "honor X-Fault-Plan chaos headers (off by default)")
@@ -86,8 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	warmStart := time.Now()
 	srv, err := serve.NewServer(context.Background(), o, store, serve.Options{
 		Jobs:             *jobs,
-		BatchSize:        *batchSize,
-		BatchDelay:       *batchDelay,
 		Queue:            *queue,
 		StudyConcurrency: *studyConc,
 		StudyQueue:       *studyQueue,
@@ -98,8 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer srv.Close()
-	fmt.Fprintf(stderr, "served: models warm in %s (jobs=%d batch=%d/%s queue=%d)\n",
-		time.Since(warmStart).Round(time.Millisecond), *jobs, *batchSize, *batchDelay, *queue)
+	fmt.Fprintf(stderr, "served: models warm in %s (jobs=%d queue=%d)\n",
+		time.Since(warmStart).Round(time.Millisecond), *jobs, *queue)
 
 	// Catch SIGTERM/SIGINT before the address is published: a stop sent
 	// right after discovery must drain, never kill the process.

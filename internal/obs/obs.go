@@ -134,13 +134,6 @@ func AddCountL(ctx context.Context, name string, delta int64, labels ...Label) {
 	}
 }
 
-// SetGaugeL sets the labeled gauge series (no-op without a registry).
-func SetGaugeL(ctx context.Context, name string, v float64, labels ...Label) {
-	if o := From(ctx); o != nil && o.Metrics != nil {
-		o.Metrics.GaugeL(name, labels...).Set(v)
-	}
-}
-
 // ObserveL records v into the labeled histogram series with the default
 // buckets (no-op without a registry).
 func ObserveL(ctx context.Context, name string, v float64, labels ...Label) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,95 +112,5 @@ func TestMapAllSkippedItemsReportCallerCtxError(t *testing.T) {
 				t.Errorf("jobs=%d: skipped item %d has result %d", jobs, i, results[i])
 			}
 		}
-	}
-}
-
-// TestPoolWaitPrefersGenuineOverCancellation: a task at submit index 0
-// parks until the pool's first-error cancellation (triggered by index 1's
-// genuine failure) and returns ctx.Err(); Wait must still report index 1.
-func TestPoolWaitPrefersGenuineOverCancellation(t *testing.T) {
-	leakCheck(t)
-	p := NewPool(context.Background(), 2)
-	genuine := errors.New("task 1 exploded")
-	p.Go(func(ctx context.Context) error {
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	p.Go(func(context.Context) error {
-		time.Sleep(5 * time.Millisecond)
-		return genuine
-	})
-	if err := p.Wait(); !errors.Is(err, genuine) || errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want the genuine task-1 failure", err)
-	}
-}
-
-// TestPoolSkipRecordDoesNotMask exercises the skip bookkeeping directly: a
-// skip recorded below a genuine failure loses to it; with only skips, the
-// cancellation surfaces.
-func TestPoolSkipRecordDoesNotMask(t *testing.T) {
-	leakCheck(t)
-	p := newPool(context.Background(), 2, false)
-	p.errs = []error{context.Canceled, errors.New("real"), context.Canceled}
-	p.skipped = []bool{true, false, true}
-	p.next = 3
-	if err := p.Wait(); err == nil || err.Error() != "real" {
-		t.Fatalf("Wait = %v, want the genuine error despite a lower-index skip", err)
-	}
-	p2 := newPool(context.Background(), 2, false)
-	p2.errs = []error{context.Canceled, context.Canceled}
-	p2.skipped = []bool{true, true}
-	p2.next = 2
-	if err := p2.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("all-skip Wait = %v, want context.Canceled", err)
-	}
-}
-
-// TestPoolGoFastFailWhenCancelled: Go on a saturated pool whose context is
-// already dead must return promptly (recording a skip) instead of blocking
-// on the semaphore.
-func TestPoolGoFastFailWhenCancelled(t *testing.T) {
-	leakCheck(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	p := NewPool(ctx, 1)
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	p.Go(func(context.Context) error { close(started); <-gate; return nil }) // holds the only slot
-	<-started                                                                // the slot is held before the context dies
-	cancel()                                                                 // pool context dies while saturated
-
-	done := make(chan struct{})
-	go func() {
-		p.Go(func(context.Context) error { return errors.New("should never run") })
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Go blocked on a saturated semaphore after pool cancellation")
-	}
-	close(gate)
-	if err := p.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want the cancellation (no task genuinely failed)", err)
-	}
-}
-
-// TestPoolJoinModeUnchanged: join pools still run everything and join every
-// failure in submit order, including after the masking fixes.
-func TestPoolJoinModeUnchanged(t *testing.T) {
-	leakCheck(t)
-	p := NewJoinPool(context.Background(), 2)
-	for i := 0; i < 4; i++ {
-		i := i
-		p.Go(func(context.Context) error {
-			if i%2 == 1 {
-				return fmt.Errorf("j%d", i)
-			}
-			return nil
-		})
-	}
-	err := p.Wait()
-	if err == nil || !strings.Contains(err.Error(), "j1") || !strings.Contains(err.Error(), "j3") {
-		t.Fatalf("join Wait = %v", err)
 	}
 }

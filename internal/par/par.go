@@ -1,8 +1,8 @@
-// Package par is the pipeline's parallel-execution substrate: a bounded
-// worker pool with context cancellation and first-error-or-join semantics,
-// an order-preserving generic Map, and a deterministic RNG-splitting scheme
-// that derives an independent random stream per work item from the study
-// seed and the item's key.
+// Package par is the pipeline's parallel-execution substrate: bounded,
+// order-preserving generic fan-outs (Map cancels on the first failure,
+// MapAll runs every item), one-shot stage futures (Go/Task), and a
+// deterministic RNG-splitting scheme that derives an independent random
+// stream per work item from the study seed and the item's key.
 //
 // Every fan-out in the study pipeline (corpus preparation, survey
 // administration, metric evaluation, artifact rendering) goes through this
@@ -60,147 +60,8 @@ func clampJobs(jobs, n int) int {
 	return jobs
 }
 
-// guard converts a worker panic into an error carrying the stack, so a
-// panicking work item surfaces as a pipeline failure instead of tearing
-// down the process from a goroutine.
-func guard(f func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("par: worker panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return f()
-}
-
-// Pool is a bounded worker pool. Tasks submitted with Go run on at most
-// `jobs` goroutines; Wait blocks until all submitted tasks finish and
-// returns the pool error. Two error modes:
-//
-//   - first-error (NewPool): the first failing task cancels the pool
-//     context — tasks not yet started are skipped, and Wait returns the
-//     failure with the lowest submit index (deterministic under races).
-//   - join (NewJoinPool): every task runs to completion and Wait joins
-//     all failures in submit order via errors.Join.
-type Pool struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    chan struct{}
-	wg     sync.WaitGroup
-	join   bool
-
-	mu      sync.Mutex
-	errs    []error // indexed by submit order
-	skipped []bool  // true when errs[i] records a cancellation skip, not a task result
-	next    int
-}
-
-// NewPool returns a first-error pool running at most jobs tasks at once.
-func NewPool(ctx context.Context, jobs int) *Pool {
-	return newPool(ctx, jobs, false)
-}
-
-// NewJoinPool returns a pool that runs every task to completion and joins
-// all failures in submit order.
-func NewJoinPool(ctx context.Context, jobs int) *Pool {
-	return newPool(ctx, jobs, true)
-}
-
-func newPool(ctx context.Context, jobs int, join bool) *Pool {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	return &Pool{ctx: pctx, cancel: cancel, sem: make(chan struct{}, jobs), join: join}
-}
-
-// Go submits one task. It blocks while the pool is saturated, which bounds
-// both concurrency and the backlog of pending goroutines — but never past
-// cancellation: once the pool context is done (a first-error pool saw a
-// failure, or the caller's context was cancelled), submission fast-fails
-// and the task is recorded as skipped instead of stalling the submitter on
-// a semaphore no one will release promptly.
-func (p *Pool) Go(f func(ctx context.Context) error) {
-	p.mu.Lock()
-	idx := p.next
-	p.next++
-	p.errs = append(p.errs, nil)
-	p.skipped = append(p.skipped, false)
-	p.mu.Unlock()
-
-	select {
-	case p.sem <- struct{}{}:
-	case <-p.ctx.Done():
-		p.record(idx, p.ctx.Err(), true)
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		if err := p.ctx.Err(); err != nil {
-			p.record(idx, err, true)
-			return
-		}
-		if err := guard(func() error { return f(p.ctx) }); err != nil {
-			p.record(idx, err, false)
-			if !p.join {
-				p.cancel()
-			}
-		}
-	}()
-}
-
-func (p *Pool) record(idx int, err error, skip bool) {
-	p.mu.Lock()
-	p.errs[idx] = err
-	p.skipped[idx] = skip
-	p.mu.Unlock()
-}
-
-// Wait blocks until every submitted task has finished and returns the pool
-// error: the lowest-submit-index failure in first-error mode, or every
-// failure joined in submit order in join mode. It releases the pool's
-// context; the pool must not be reused after Wait.
-//
-// In first-error mode, genuine task failures take precedence over
-// cancellation fallout. When a failing task cancels the pool, tasks that
-// were skipped — or that returned the pool context's error on their way out
-// — record context.Canceled, possibly at a lower submit index than the
-// failure that caused the cancellation; returning that would mask the real
-// error. Wait therefore returns the lowest-index non-cancellation task
-// error when one exists, and falls back to the lowest-index recorded error
-// (the caller's own cancellation) only when no genuine failure was seen.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.cancel()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.join {
-		return joinNonNil(p.errs)
-	}
-	var genuine, fallback error
-	for i, err := range p.errs {
-		if err == nil {
-			continue
-		}
-		if fallback == nil {
-			fallback = err
-		}
-		if genuine == nil && !p.skipped[i] && !isCancellation(err) {
-			genuine = err
-			break
-		}
-	}
-	if genuine != nil {
-		return genuine
-	}
-	return fallback
-}
-
 // isCancellation reports whether err is context-cancellation fallout rather
-// than a failure in its own right. This is a heuristic — a task error that
+// than a failure in its own right. This is a heuristic — an item error that
 // wraps context.Canceled for unrelated reasons is classified as fallout —
 // but it only changes which error wins when a genuine failure exists
 // elsewhere, which is exactly the masking case being prevented.
@@ -227,7 +88,7 @@ func Map[T, R any](ctx context.Context, jobs int, items []T, f func(ctx context.
 			if err := ctx.Err(); err != nil {
 				return results, err
 			}
-			r, err := guard2(ctx, i, items[i], f)
+			r, err := guard(ctx, i, items[i], f)
 			if err != nil {
 				return results, err
 			}
@@ -237,7 +98,7 @@ func Map[T, R any](ctx context.Context, jobs int, items []T, f func(ctx context.
 	}
 
 	errs := runWorkers(ctx, jobs, items, func(ctx context.Context, i int, item T) error {
-		r, err := guard2(ctx, i, item, f)
+		r, err := guard(ctx, i, item, f)
 		if err != nil {
 			return err
 		}
@@ -291,12 +152,12 @@ func MapAll[T, R any](ctx context.Context, jobs int, items []T, f func(ctx conte
 				errs[i] = err
 				continue
 			}
-			results[i], errs[i] = guard2(ctx, i, items[i], f)
+			results[i], errs[i] = guard(ctx, i, items[i], f)
 		}
 		return results, errs
 	}
 	got := runWorkers(ctx, jobs, items, func(ctx context.Context, i int, item T) error {
-		r, err := guard2(ctx, i, item, f)
+		r, err := guard(ctx, i, item, f)
 		results[i] = r
 		return err
 	}, false)
@@ -304,8 +165,10 @@ func MapAll[T, R any](ctx context.Context, jobs int, items []T, f func(ctx conte
 	return results, errs
 }
 
-// guard2 is guard specialized for Map's (result, error) workers.
-func guard2[T, R any](ctx context.Context, i int, item T, f func(ctx context.Context, idx int, item T) (R, error)) (r R, err error) {
+// guard converts a worker panic into an error carrying the stack, so a
+// panicking work item surfaces as a pipeline failure instead of tearing
+// down the process from a goroutine.
+func guard[T, R any](ctx context.Context, i int, item T, f func(ctx context.Context, idx int, item T) (R, error)) (r R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("par: worker panic on item %d: %v\n%s", i, p, debug.Stack())
@@ -425,20 +288,4 @@ func Chunks(n, k int) [][2]int {
 		lo = hi
 	}
 	return out
-}
-
-// joinNonNil joins the non-nil errors of errs in slice order. Unlike
-// errors.Join it is explicit about preserving input order, which keeps
-// fan-out failure reports deterministic at any worker count.
-func joinNonNil(errs []error) error {
-	var nonNil []error
-	for _, err := range errs {
-		if err != nil {
-			nonNil = append(nonNil, err)
-		}
-	}
-	if len(nonNil) == 0 {
-		return nil
-	}
-	return errors.Join(nonNil...)
 }

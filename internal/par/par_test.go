@@ -172,43 +172,6 @@ func nonNil(errs []error) []error {
 	return out
 }
 
-func TestPoolFirstErrorSkipsRemaining(t *testing.T) {
-	p := NewPool(context.Background(), 1)
-	var ran atomic.Int64
-	p.Go(func(context.Context) error { ran.Add(1); return errors.New("first") })
-	p.Go(func(ctx context.Context) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		ran.Add(1)
-		return nil
-	})
-	err := p.Wait()
-	if err == nil || err.Error() != "first" {
-		t.Fatalf("Wait = %v, want the lowest-index failure", err)
-	}
-}
-
-func TestJoinPoolCollectsAll(t *testing.T) {
-	p := NewJoinPool(context.Background(), 4)
-	for i := 0; i < 6; i++ {
-		i := i
-		p.Go(func(context.Context) error {
-			if i%2 == 0 {
-				return fmt.Errorf("e%d", i)
-			}
-			return nil
-		})
-	}
-	err := p.Wait()
-	if err == nil {
-		t.Fatal("want joined error")
-	}
-	if got, want := err.Error(), "e0\ne2\ne4"; got != want {
-		t.Errorf("joined = %q, want %q (submit order)", got, want)
-	}
-}
-
 func TestJobsContext(t *testing.T) {
 	ctx := context.Background()
 	if JobsFrom(ctx) < 1 {

@@ -15,7 +15,7 @@ import (
 //
 // Tasks run outside the Map worker budget: they represent the handful of
 // pipeline stages, not per-item work, so a stage waiting on another stage
-// can never deadlock against a saturated worker pool.
+// can never deadlock against a saturated Map fan-out.
 type Task[T any] struct {
 	done chan struct{}
 	val  T
@@ -23,8 +23,8 @@ type Task[T any] struct {
 }
 
 // Go starts fn immediately on a new goroutine. A panic in fn surfaces as
-// an error from Wait (carrying the stack), matching the pool's guard
-// semantics, instead of tearing down the process.
+// an error from Wait (carrying the stack), as a panicking Map item does,
+// instead of tearing down the process.
 func Go[T any](ctx context.Context, fn func(context.Context) (T, error)) *Task[T] {
 	t := &Task[T]{done: make(chan struct{})}
 	go func() {

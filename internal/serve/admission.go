@@ -2,15 +2,21 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 
 	"decompstudy/internal/obs"
 )
 
-// Limiter is per-endpoint admission control: at most `concurrency`
-// requests execute at once, at most `queue` more wait for a slot, and
-// anything beyond that is rejected immediately with ErrSaturated (the
-// HTTP layer answers 503 + Retry-After). Bounding the wait pool keeps
+// ErrSaturated is returned when a limiter's bounded queue is full — the
+// HTTP layer maps it to 503 with a Retry-After header. Load sheds at the
+// door, never by queuing without bound.
+var ErrSaturated = errors.New("serve: saturated, retry later")
+
+// Limiter is admission control for a group of endpoints: at most
+// `concurrency` requests execute at once, at most `queue` more wait for a
+// slot, and anything beyond that is rejected immediately with ErrSaturated
+// (the HTTP layer answers 503 + Retry-After). Bounding the wait pool keeps
 // overload latency flat — a saturated server answers in microseconds
 // instead of accumulating an unbounded backlog.
 type Limiter struct {

@@ -100,13 +100,13 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// fail maps processing errors to status codes: saturation and draining are
-// 503 (retryable elsewhere), client abandonment gets no body, a source
-// nested past the csrc limits is a 400, and everything else is a 500
-// carrying the pipeline error.
+// fail maps processing errors to status codes: saturation is 503
+// (retryable elsewhere), client abandonment gets no body, a source nested
+// past the csrc limits is a 400, and everything else is a 500 carrying
+// the pipeline error.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrSaturated) || errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrSaturated):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -130,24 +130,23 @@ func decode(r *http.Request, v any) error {
 
 // requestCtx derives the per-request processing context from the server
 // base: a fresh fault manifest, plus an injector when a chaos plan rides
-// the X-Fault-Plan header. The returned spec is non-empty iff faults are
-// armed — fault-armed work must never coalesce with clean work. The
-// context deliberately does not inherit the HTTP request's cancellation.
-func (s *Server) requestCtx(r *http.Request) (ctx context.Context, faultSpec string, status int, err error) {
+// the X-Fault-Plan header. The context deliberately does not inherit the
+// HTTP request's cancellation.
+func (s *Server) requestCtx(r *http.Request) (ctx context.Context, status int, err error) {
 	ctx = fault.WithManifest(s.base, fault.NewManifest())
 	spec := r.Header.Get("X-Fault-Plan")
 	if spec == "" {
-		return ctx, "", 0, nil
+		return ctx, 0, nil
 	}
 	if !s.opts.AllowFaultHeader {
-		return nil, "", http.StatusForbidden, fmt.Errorf("X-Fault-Plan is disabled (start served with -allow-fault-header)")
+		return nil, http.StatusForbidden, fmt.Errorf("X-Fault-Plan is disabled (start served with -allow-fault-header)")
 	}
 	plan, perr := fault.ParsePlan(spec)
 	if perr != nil {
-		return nil, "", http.StatusBadRequest, fmt.Errorf("invalid X-Fault-Plan: %w", perr)
+		return nil, http.StatusBadRequest, fmt.Errorf("invalid X-Fault-Plan: %w", perr)
 	}
 	obs.AddCount(s.base, "serve.fault.armed", 1)
-	return fault.With(ctx, fault.NewInjector(plan, fault.DefaultRetryBudget)), spec, 0, nil
+	return fault.With(ctx, fault.NewInjector(plan, fault.DefaultRetryBudget)), 0, nil
 }
 
 func snippetByID(id string) (*corpus.Snippet, error) {
@@ -176,54 +175,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// ---- batched work: annotate + metrics ------------------------------------
-
-// workItem is one unit of batchable work: annotate or score a prepared
-// snippet at an optimization level, under its request's processing
-// context (carried by the batcher, not the item).
-type workItem struct {
-	kind    string // "annotate" | "metrics"
-	snippet *corpus.Snippet
-	level   opt.Level
-}
-
-// coalesceKey is the batch-level identity of an item. Fault-armed
-// requests return "" — injector state is per-request, so their work is
-// never shared.
-func coalesceKey(it workItem, faultSpec string) string {
-	if faultSpec != "" {
-		return ""
-	}
-	return it.kind + "|" + it.snippet.ID + "|" + it.level.String()
-}
-
-// processBatch computes one flush: the unique items fan out over the
-// server's worker budget, each computed single-worker under its own
-// request context, so a flush never uses more than Jobs workers.
-func (s *Server) processBatch(ctx context.Context, items []workItem, ctxs []context.Context) ([]any, []error) {
-	return par.MapAll(ctx, s.opts.Jobs, items, func(_ context.Context, i int, it workItem) (any, error) {
-		return s.computeItem(ctxs[i], it)
-	})
-}
-
-// computeItem runs one annotate/metrics unit end to end: prepare the
-// snippet at the requested level, then either render the annotated arm or
-// evaluate the full metric battery against the warm embedding model.
-func (s *Server) computeItem(ctx context.Context, it workItem) (any, error) {
-	// Single worker inside an item: the fan-out is across items.
-	ctx = par.WithJobs(ctx, 1)
-	p, err := corpus.PrepareOptCtx(ctx, it.snippet, it.level)
-	if err != nil {
-		return nil, err
-	}
-	switch it.kind {
-	case "annotate":
-		return annotateResponseFrom(p), nil
-	case "metrics":
-		return s.metricsResponseFrom(ctx, p)
-	}
-	return nil, fmt.Errorf("serve: unknown work kind %q", it.kind)
-}
+// ---- annotate + metrics --------------------------------------------------
 
 // AnnotateRequest asks for the DIRTY-style annotated arm of a study
 // snippet at an optimization level.
@@ -282,18 +234,22 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	procCtx, spec, status, err := s.requestCtx(r)
+	procCtx, status, err := s.requestCtx(r)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
-	it := workItem{kind: "annotate", snippet: sn, level: level}
-	out, err := s.batch.Submit(r.Context(), procCtx, coalesceKey(it, spec), it)
+	if err := s.pipeline.Acquire(r.Context()); err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer s.pipeline.Release()
+	p, err := corpus.PrepareOptCtx(par.WithJobs(procCtx, 1), sn, level)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, annotateResponseFrom(p))
 }
 
 // MetricsRequest asks for the intrinsic metric battery of a snippet's
@@ -369,13 +325,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	procCtx, spec, status, err := s.requestCtx(r)
+	procCtx, status, err := s.requestCtx(r)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
-	it := workItem{kind: "metrics", snippet: sn, level: level}
-	out, err := s.batch.Submit(r.Context(), procCtx, coalesceKey(it, spec), it)
+	if err := s.pipeline.Acquire(r.Context()); err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer s.pipeline.Release()
+	ctx := par.WithJobs(procCtx, 1)
+	p, err := corpus.PrepareOptCtx(ctx, sn, level)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	out, err := s.metricsResponseFrom(ctx, p)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -420,7 +386,7 @@ func (s *Server) handleDecompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	procCtx, _, status, err := s.requestCtx(r)
+	procCtx, status, err := s.requestCtx(r)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -544,7 +510,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	procCtx, _, status, err := s.requestCtx(r)
+	procCtx, status, err := s.requestCtx(r)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -621,7 +587,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	procCtx, _, status, err := s.requestCtx(r)
+	procCtx, status, err := s.requestCtx(r)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -632,9 +598,9 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.study.Release()
 
-	// A study run is seconds of CPU — unlike batched items it is not
-	// shared, so honor client disconnects by forwarding the request
-	// context's cancellation onto the (base-derived) processing context.
+	// A study run is seconds of CPU, so honor client disconnects by
+	// forwarding the request context's cancellation onto the
+	// (base-derived) processing context.
 	ctx, cancel := context.WithCancel(procCtx)
 	defer cancel()
 	stop := context.AfterFunc(r.Context(), cancel)

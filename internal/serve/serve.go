@@ -1,3 +1,14 @@
+// Package serve is the decompilation-as-a-service layer: an HTTP JSON API
+// in front of the study pipeline where trained models are loaded once and
+// amortized across thousands of requests. Every pipeline endpoint
+// (annotate, metrics, decompile, lint) is admitted through one limiter —
+// a bounded number of requests compute at once, a bounded queue waits,
+// and beyond it the server answers 503 with Retry-After — so overload
+// degrades into fast rejections instead of collapse.
+//
+// The package is transport-complete but process-agnostic: cmd/served wires
+// it to a listener and signals, the httptest suite drives it in-process,
+// and cmd/loadgen measures it from outside.
 package serve
 
 import (
@@ -6,7 +17,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
@@ -18,26 +28,23 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultBatchSize        = 64
-	DefaultBatchDelay       = 2 * time.Millisecond
 	DefaultQueue            = 256
 	DefaultStudyConcurrency = 2
 	DefaultStudyQueue       = 2
-	DefaultEmbedDim         = 24 // the study default, so /study shares the store key
 )
+
+// DefaultEmbedDim is the metric embedding dimensionality: the study
+// default, so /v1/study shares the warm model's store key.
+const DefaultEmbedDim = 24
 
 // Options configures a Server. Zero values mean the defaults above;
 // Jobs zero means GOMAXPROCS.
 type Options struct {
-	// Jobs is the worker budget: batch flushes fan out over this many
-	// workers, and this many decompile/lint requests compute at once.
+	// Jobs is the worker budget: this many annotate, metrics, decompile
+	// and lint requests compute at once.
 	Jobs int
-	// BatchSize and BatchDelay bound a flush: it fires at BatchSize items
-	// or BatchDelay after the first queued item, whichever comes first.
-	BatchSize  int
-	BatchDelay time.Duration
-	// Queue bounds each endpoint's admission backlog; beyond it requests
-	// are rejected with 503 + Retry-After.
+	// Queue bounds how many more of those requests wait for a slot;
+	// beyond it requests are rejected with 503 + Retry-After.
 	Queue int
 	// StudyConcurrency and StudyQueue bound the heavyweight /v1/study
 	// endpoint separately (a study run is ~10^4x an annotate request).
@@ -46,19 +53,11 @@ type Options struct {
 	// AllowFaultHeader honors X-Fault-Plan chaos headers. Off by default:
 	// arbitrary callers must not be able to inject faults.
 	AllowFaultHeader bool
-	// EmbedDim overrides the metric embedding dimensionality (0 = 24).
-	EmbedDim int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Jobs <= 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.BatchDelay <= 0 {
-		o.BatchDelay = DefaultBatchDelay
 	}
 	if o.Queue <= 0 {
 		o.Queue = DefaultQueue
@@ -69,15 +68,11 @@ func (o Options) withDefaults() Options {
 	if o.StudyQueue <= 0 {
 		o.StudyQueue = DefaultStudyQueue
 	}
-	if o.EmbedDim <= 0 {
-		o.EmbedDim = DefaultEmbedDim
-	}
 	return o
 }
 
-// Server is the decompilation service: warm shared models, a coalescing
-// batcher for annotate/metric requests, per-endpoint admission control,
-// and the /debug telemetry surface, behind one http.Handler.
+// Server is the decompilation service: warm shared models, admission
+// control, and the /debug telemetry surface, behind one http.Handler.
 type Server struct {
 	opts Options
 	// base is the server-lifetime context all processing derives from:
@@ -94,8 +89,7 @@ type Server struct {
 	embedModel *embed.Model
 	recModel   *namerec.Model
 
-	batch    *Batcher[workItem, any]
-	pipeline *Limiter // decompile + lint
+	pipeline *Limiter // annotate, metrics, decompile, lint
 	study    *Limiter
 
 	mux      *http.ServeMux
@@ -127,7 +121,6 @@ func NewServer(parent context.Context, o *obs.Obs, store *modelstore.Store, opts
 		cancel()
 		return nil, err
 	}
-	s.batch = NewBatcher[workItem, any](base, "work", opts.BatchSize, opts.Queue, opts.BatchDelay, s.processBatch)
 	s.mux = s.routes()
 	return s, nil
 }
@@ -142,7 +135,7 @@ func (s *Server) warmModels(ctx context.Context, store *modelstore.Store) error 
 	if err != nil {
 		return fmt.Errorf("serve: warm embed corpus: %w", err)
 	}
-	em, err := store.EmbedModel(ctx, ctxs, &embed.Config{Dim: s.opts.EmbedDim})
+	em, err := store.EmbedModel(ctx, ctxs, &embed.Config{Dim: DefaultEmbedDim})
 	if err != nil {
 		return fmt.Errorf("serve: warm embed model: %w", err)
 	}
@@ -175,14 +168,9 @@ func (s *Server) routes() *http.ServeMux {
 // requests still complete.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
-// Close drains the batcher (queued items are flushed and answered) and
-// cancels the server context. Call after http.Server.Shutdown has waited
-// out in-flight requests.
+// Close cancels the server context. Call after http.Server.Shutdown has
+// waited out in-flight requests.
 func (s *Server) Close() {
 	s.draining.Store(true)
-	s.batch.Close()
 	s.cancel()
 }
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

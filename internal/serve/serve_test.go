@@ -224,24 +224,20 @@ func TestNestingLimitIsA400(t *testing.T) {
 	}
 }
 
-// TestBatchedResponsesMatchDirectCompute proves batching is invisible in
-// bytes: the same four requests, sent concurrently so they share flushes,
-// each come back byte-equal to the item computed directly in-process and
-// encoded the way the handler encodes it.
-func TestBatchedResponsesMatchDirectCompute(t *testing.T) {
+// TestConcurrentResponsesMatchDirectCompute is the bytes contract under
+// concurrency: the same four requests, sent at once so they compete for
+// the pipeline's slots, each come back byte-equal to the snippet prepared
+// directly in-process and encoded the way the handler encodes it.
+func TestConcurrentResponsesMatchDirectCompute(t *testing.T) {
 	srv, hs := newTestServer(t, Options{})
-	sn := func(id string) *corpus.Snippet {
-		s, _ := corpus.SnippetByID(id)
-		return s
-	}
 	reqs := []struct {
-		path, body string
-		item       workItem
+		path, body, snippet string
+		level               opt.Level
 	}{
-		{"/v1/annotate", `{"snippet": "AEEK"}`, workItem{kind: "annotate", snippet: sn("AEEK")}},
-		{"/v1/annotate", `{"snippet": "POSTORDER", "opt": 2}`, workItem{kind: "annotate", snippet: sn("POSTORDER"), level: opt.O2}},
-		{"/v1/metrics", `{"snippet": "TC"}`, workItem{kind: "metrics", snippet: sn("TC")}},
-		{"/v1/metrics", `{"snippet": "BAPL", "opt": 1}`, workItem{kind: "metrics", snippet: sn("BAPL"), level: opt.O1}},
+		{"/v1/annotate", `{"snippet": "AEEK"}`, "AEEK", opt.O0},
+		{"/v1/annotate", `{"snippet": "POSTORDER", "opt": 2}`, "POSTORDER", opt.O2},
+		{"/v1/metrics", `{"snippet": "TC"}`, "TC", opt.O0},
+		{"/v1/metrics", `{"snippet": "BAPL", "opt": 1}`, "BAPL", opt.O1},
 	}
 	bodies := make([][]byte, len(reqs))
 	var wg sync.WaitGroup
@@ -258,14 +254,22 @@ func TestBatchedResponsesMatchDirectCompute(t *testing.T) {
 	}
 	wg.Wait()
 	for i, rq := range reqs {
-		v, err := srv.computeItem(fault.WithManifest(srv.base, fault.NewManifest()), rq.item)
+		ctx := par.WithJobs(fault.WithManifest(srv.base, fault.NewManifest()), 1)
+		sn, _ := corpus.SnippetByID(rq.snippet)
+		p, err := corpus.PrepareOptCtx(ctx, sn, rq.level)
 		if err != nil {
-			t.Fatalf("%s %s: direct compute: %v", rq.path, rq.body, err)
+			t.Fatalf("%s %s: direct prepare: %v", rq.path, rq.body, err)
+		}
+		var v any = annotateResponseFrom(p)
+		if rq.path == "/v1/metrics" {
+			if v, err = srv.metricsResponseFrom(ctx, p); err != nil {
+				t.Fatalf("%s %s: direct metrics: %v", rq.path, rq.body, err)
+			}
 		}
 		want := httptest.NewRecorder()
 		writeJSON(want, http.StatusOK, v)
 		if !bytes.Equal(bodies[i], want.Body.Bytes()) {
-			t.Errorf("%s %s: batched body differs from the direct computation", rq.path, rq.body)
+			t.Errorf("%s %s: concurrent body differs from the direct computation", rq.path, rq.body)
 		}
 	}
 }
@@ -275,55 +279,102 @@ func TestBatchedResponsesMatchDirectCompute(t *testing.T) {
 // Retry-After — never a hang, never a partial body.
 func TestSaturationReturns503(t *testing.T) {
 	delayPlan := "seed=1; csrc.parse:delay,p=1,delay=200ms"
-	opts := Options{Jobs: 1, BatchSize: 1, Queue: 1, AllowFaultHeader: true}
-	t.Run("batched", func(t *testing.T) {
-		_, hs := newTestServer(t, opts)
-		client := hs.Client()
-		client.Timeout = 30 * time.Second
+	_, hs := newTestServer(t, Options{Jobs: 1, Queue: 1, AllowFaultHeader: true})
+	client := hs.Client()
+	client.Timeout = 30 * time.Second
 
-		const n = 8
-		var wg sync.WaitGroup
-		codes := make([]int, n)
-		bodies := make([][]byte, n)
-		retryAfter := make([]string, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
-					map[string]string{"X-Fault-Plan": delayPlan})
-				codes[i] = resp.StatusCode
-				bodies[i] = raw
-				retryAfter[i] = resp.Header.Get("Retry-After")
-			}(i)
-		}
-		wg.Wait()
+	const n = 8
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	bodies := make([][]byte, n)
+	retryAfter := make([]string, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
+				map[string]string{"X-Fault-Plan": delayPlan})
+			codes[i] = resp.StatusCode
+			bodies[i] = raw
+			retryAfter[i] = resp.Header.Get("Retry-After")
+		}(i)
+	}
+	wg.Wait()
 
-		saturated := 0
-		for i := 0; i < n; i++ {
-			switch codes[i] {
-			case http.StatusOK:
-				var ok AnnotateResponse
-				if err := json.Unmarshal(bodies[i], &ok); err != nil {
-					t.Errorf("request %d: 200 with unparseable body: %v", i, err)
-				}
-			case http.StatusServiceUnavailable:
-				saturated++
-				if retryAfter[i] == "" {
-					t.Errorf("request %d: 503 without Retry-After", i)
-				}
-				var e map[string]string
-				if err := json.Unmarshal(bodies[i], &e); err != nil || e["error"] == "" {
-					t.Errorf("request %d: 503 body incomplete: %s", i, bodies[i])
-				}
-			default:
-				t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
+	saturated := 0
+	for i := 0; i < n; i++ {
+		switch codes[i] {
+		case http.StatusOK:
+			var ok AnnotateResponse
+			if err := json.Unmarshal(bodies[i], &ok); err != nil {
+				t.Errorf("request %d: 200 with unparseable body: %v", i, err)
 			}
+		case http.StatusServiceUnavailable:
+			saturated++
+			checkShed(t, fmt.Sprintf("request %d", i), retryAfter[i], bodies[i])
+		default:
+			t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
 		}
-		if saturated == 0 {
-			t.Error("no request was shed: saturation path untested")
+	}
+	if saturated == 0 {
+		t.Error("no request was shed: saturation path untested")
+	}
+}
+
+// checkShed requires a 503 to carry Retry-After and a complete JSON error
+// body.
+func checkShed(t *testing.T, what, retryAfter string, body []byte) {
+	t.Helper()
+	if retryAfter == "" {
+		t.Errorf("%s: 503 without Retry-After", what)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
+		t.Errorf("%s: 503 body incomplete: %s", what, body)
+	}
+}
+
+// TestOneAdmissionPath: annotate and lint compete for the same pipeline
+// slots. Two delayed annotates take the only slot and the only queue
+// place, so a lint request arriving behind them is shed with a 503 while
+// both annotates still complete.
+func TestOneAdmissionPath(t *testing.T) {
+	srv, hs := newTestServer(t, Options{Jobs: 1, Queue: 1, AllowFaultHeader: true})
+	client := hs.Client()
+	client.Timeout = 30 * time.Second
+
+	var wg sync.WaitGroup
+	codes := make([]int, 2)
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
+				map[string]string{"X-Fault-Plan": "seed=1; csrc.parse:delay,p=1,delay=500ms"})
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.pipeline.InFlight() != 1 || srv.pipeline.waiting.Load() != 1 {
+		if time.Now().After(deadline) {
+			wg.Wait()
+			t.Fatalf("annotate never held the pipeline: %d in flight, %d waiting",
+				srv.pipeline.InFlight(), srv.pipeline.waiting.Load())
 		}
-	})
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, raw := post(t, client, hs.URL+"/v1/lint", `{"snippet": "AEEK"}`, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("lint behind a full pipeline: status %d, body %s", resp.StatusCode, raw)
+	}
+	checkShed(t, "lint", resp.Header.Get("Retry-After"), raw)
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("annotate %d: status %d, want 200", i, code)
+		}
+	}
 }
 
 func TestFaultHeaderGating(t *testing.T) {
@@ -350,7 +401,7 @@ func TestFaultHeaderGating(t *testing.T) {
 		t.Fatalf("fault error body incomplete: %s", raw)
 	}
 	// The same request without the header is unaffected: injector state is
-	// per-request, and fault-armed work never coalesces with clean work.
+	// per-request.
 	resp, _ = post(t, open.Client(), open.URL+"/v1/annotate", `{"snippet": "AEEK"}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean request after fault = %d", resp.StatusCode)
@@ -432,7 +483,7 @@ func TestHealthzAndDebugSurface(t *testing.T) {
 
 // TestNoGoroutineLeakAfterDrain exercises the server — including the
 // saturation path — then tears it down and requires the goroutine count
-// to return to baseline: nothing hangs in batcher queues or limiters.
+// to return to baseline: nothing hangs in a limiter queue.
 func TestNoGoroutineLeakAfterDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 

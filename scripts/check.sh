@@ -24,7 +24,7 @@
 # stdout must hash identical to a clean run's.
 #
 # `check.sh serve` instead runs only the serving gate: the serve package's
-# batcher/admission/e2e suites and the modelstore storm test under -race,
+# admission/e2e suites and the modelstore storm test under -race,
 # then a live smoke — served is started on an ephemeral port, /healthz is
 # polled, a short loadgen run over the full endpoint mix must finish with
 # zero errors, a depth-260 nest must decompile and a body of 10^6 nested
@@ -220,7 +220,7 @@ serve_smoke() {
 }
 
 if [ "${1:-}" = "serve" ]; then
-	echo "== serve (batcher/admission/e2e suites + live smoke, -race)"
+	echo "== serve (admission/e2e suites + live smoke, -race)"
 	go test -race -count=1 ./internal/serve/
 	go test -race -count=1 -run 'Storm' ./internal/modelstore/
 	serve_smoke

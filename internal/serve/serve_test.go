@@ -279,46 +279,51 @@ func TestConcurrentResponsesMatchDirectCompute(t *testing.T) {
 // Retry-After — never a hang, never a partial body.
 func TestSaturationReturns503(t *testing.T) {
 	delayPlan := "seed=1; csrc.parse:delay,p=1,delay=200ms"
-	_, hs := newTestServer(t, Options{Jobs: 1, Queue: 1, AllowFaultHeader: true})
-	client := hs.Client()
-	client.Timeout = 30 * time.Second
+	opts := Options{Jobs: 1, Queue: 1, AllowFaultHeader: true}
+	// "batched": a burst of concurrent annotates, more than one slot and
+	// one queue place can hold.
+	t.Run("batched", func(t *testing.T) {
+		_, hs := newTestServer(t, opts)
+		client := hs.Client()
+		client.Timeout = 30 * time.Second
 
-	const n = 8
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	bodies := make([][]byte, n)
-	retryAfter := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
-				map[string]string{"X-Fault-Plan": delayPlan})
-			codes[i] = resp.StatusCode
-			bodies[i] = raw
-			retryAfter[i] = resp.Header.Get("Retry-After")
-		}(i)
-	}
-	wg.Wait()
-
-	saturated := 0
-	for i := 0; i < n; i++ {
-		switch codes[i] {
-		case http.StatusOK:
-			var ok AnnotateResponse
-			if err := json.Unmarshal(bodies[i], &ok); err != nil {
-				t.Errorf("request %d: 200 with unparseable body: %v", i, err)
-			}
-		case http.StatusServiceUnavailable:
-			saturated++
-			checkShed(t, fmt.Sprintf("request %d", i), retryAfter[i], bodies[i])
-		default:
-			t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
+		const n = 8
+		var wg sync.WaitGroup
+		codes := make([]int, n)
+		bodies := make([][]byte, n)
+		retryAfter := make([]string, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, raw := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
+					map[string]string{"X-Fault-Plan": delayPlan})
+				codes[i] = resp.StatusCode
+				bodies[i] = raw
+				retryAfter[i] = resp.Header.Get("Retry-After")
+			}(i)
 		}
-	}
-	if saturated == 0 {
-		t.Error("no request was shed: saturation path untested")
-	}
+		wg.Wait()
+
+		saturated := 0
+		for i := 0; i < n; i++ {
+			switch codes[i] {
+			case http.StatusOK:
+				var ok AnnotateResponse
+				if err := json.Unmarshal(bodies[i], &ok); err != nil {
+					t.Errorf("request %d: 200 with unparseable body: %v", i, err)
+				}
+			case http.StatusServiceUnavailable:
+				saturated++
+				checkShed(t, fmt.Sprintf("request %d", i), retryAfter[i], bodies[i])
+			default:
+				t.Errorf("request %d: unexpected status %d: %s", i, codes[i], bodies[i])
+			}
+		}
+		if saturated == 0 {
+			t.Error("no request was shed: saturation path untested")
+		}
+	})
 }
 
 // checkShed requires a 503 to carry Retry-After and a complete JSON error

@@ -67,7 +67,9 @@ store-check:
 # the modelstore storm test under -race, then a live smoke — served on an
 # ephemeral port, a zero-error loadgen run over every endpoint, the
 # serve.request series on /debug/metrics, /v1/study byte-identical to the
-# studysim CLI at seed 26, and a clean SIGTERM drain.
+# studysim CLI at seed 26, an annotated -O2 /v1/decompile of
+# examples/lintdemo/dirty.c byte-identical to the decompile CLI, and a
+# clean SIGTERM drain.
 serve-check:
 	./scripts/check.sh serve
 

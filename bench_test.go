@@ -19,6 +19,7 @@ import (
 
 	"decompstudy/internal/analysis"
 	"decompstudy/internal/compile"
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
@@ -202,7 +203,7 @@ func BenchmarkMetricsEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	s, _ := corpus.SnippetByID("AEEK")
-	p, err := corpus.Prepare(s)
+	p, err := corpus.PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func BenchmarkMetricsEvaluate(b *testing.B) {
 // pseudo-C.
 func BenchmarkParserRoundTrip(b *testing.B) {
 	s, _ := corpus.SnippetByID("AEEK")
-	p, err := corpus.Prepare(s)
+	p, err := corpus.PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		b.Fatal(err)
 	}

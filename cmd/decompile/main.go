@@ -11,7 +11,10 @@
 // pseudo-C; -annotate applies the corpus-trained recovery model (or the
 // paper-faithful overrides for snippets); -opt runs the verified
 // optimizer (internal/compile/opt) at the given level first, so the
-// decompiled output shows what survives -O1/-O2.
+// decompiled output shows what survives -O1/-O2; -func keeps only the
+// named function, and a name that matches none exits 1. The FILE path
+// runs corpus.CompileSource and corpus.RenderSource, the same code as
+// served's /v1/decompile, so both print the same bytes.
 //
 // Observability flags: -stats prints the per-stage timing tree and a
 // metrics snapshot to stderr, -trace writes a Chrome trace-event JSON
@@ -39,11 +42,8 @@ import (
 	"strings"
 
 	"decompstudy/internal/cli"
-	"decompstudy/internal/compile"
 	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
-	"decompstudy/internal/csrc"
-	"decompstudy/internal/decomp"
 	"decompstudy/internal/modelstore"
 	"decompstudy/internal/namerec"
 	"decompstudy/internal/par"
@@ -96,63 +96,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *typeList != "" {
 		extra = strings.Split(*typeList, ",")
 	}
-	file, err := csrc.ParseCtx(ctx, string(src), extra)
+	obj, err := corpus.CompileSource(ctx, string(src), extra, level)
 	if err != nil {
 		fmt.Fprintf(stderr, "decompile: %v\n", err)
 		return 1
 	}
-	obj, err := compile.CompileCtx(ctx, file)
-	if err != nil {
-		fmt.Fprintf(stderr, "decompile: %v\n", err)
-		return 1
-	}
-	if obj, err = optimize(ctx, obj, level); err != nil {
-		fmt.Fprintf(stderr, "decompile: %v\n", err)
-		return 1
-	}
-
-	var annotator *namerec.Annotator
+	var model *namerec.Model
 	if *annotate {
-		model, err := modelstore.From(ctx).NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles)
-		if err != nil {
+		if model, err = modelstore.From(ctx).NamerecModel(ctx, corpus.TrainingSources(), corpus.TrainingFiles); err != nil {
 			fmt.Fprintf(stderr, "decompile: %v\n", err)
 			return 1
 		}
-		annotator = &namerec.Annotator{Model: model}
 	}
-
-	for _, fn := range obj.Funcs {
-		if *funcName != "" && fn.Name != *funcName {
-			continue
-		}
-		if *showIR {
-			fmt.Fprintln(stdout, fn.String())
-			continue
-		}
-		d, err := decomp.LiftFuncCtx(ctx, fn)
-		if err != nil {
-			fmt.Fprintf(stderr, "decompile: %s: %v\n", fn.Name, err)
-			return 1
-		}
-		if annotator != nil {
-			a, err := annotator.AnnotateCtx(ctx, d)
-			if err != nil {
-				fmt.Fprintf(stderr, "decompile: %s: %v\n", fn.Name, err)
-				return 1
-			}
-			fmt.Fprintln(stdout, a.Source())
-			continue
-		}
-		fmt.Fprintln(stdout, d.Source())
+	if err := corpus.RenderSource(ctx, stdout, obj, *funcName, *showIR, model); err != nil {
+		fmt.Fprintf(stderr, "decompile: %v\n", err)
+		return 1
 	}
 	return 0
-}
-
-// optimize runs the object through the verified optimizer when level is
-// above -O0 (the identity, where the object passes through untouched).
-func optimize(ctx context.Context, obj *compile.Object, level opt.Level) (*compile.Object, error) {
-	out, _, err := opt.OptimizeObject(ctx, obj, level)
-	return out, err
 }
 
 func runSnippet(ctx context.Context, id string, level opt.Level, annotate, showIR bool, stdout, stderr io.Writer) int {
@@ -161,38 +121,11 @@ func runSnippet(ctx context.Context, id string, level opt.Level, annotate, showI
 		fmt.Fprintf(stderr, "decompile: unknown snippet %q (want AEEK, BAPL, POSTORDER, TC)\n", id)
 		return 2
 	}
-	if showIR {
-		file, err := s.Parse()
-		if err != nil {
-			fmt.Fprintf(stderr, "decompile: %v\n", err)
-			return 1
-		}
-		obj, err := compile.CompileCtx(ctx, file)
-		if err != nil {
-			fmt.Fprintf(stderr, "decompile: %v\n", err)
-			return 1
-		}
-		if obj, err = optimize(ctx, obj, level); err != nil {
-			fmt.Fprintf(stderr, "decompile: %v\n", err)
-			return 1
-		}
-		cf, ok := obj.Func0(s.FuncName)
-		if !ok {
-			fmt.Fprintf(stderr, "decompile: %s missing %s\n", s.ID, s.FuncName)
-			return 1
-		}
-		fmt.Fprintln(stdout, cf.String())
-		return 0
-	}
 	p, err := corpus.PrepareOptCtx(ctx, s, level)
 	if err != nil {
 		fmt.Fprintf(stderr, "decompile: %v\n", err)
 		return 1
 	}
-	if annotate {
-		fmt.Fprintln(stdout, p.Dirty.Source())
-	} else {
-		fmt.Fprintln(stdout, p.HexRays.Source())
-	}
+	fmt.Fprintln(stdout, p.Render(showIR, annotate))
 	return 0
 }

@@ -2,12 +2,23 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"decompstudy/internal/modelstore"
+	"decompstudy/internal/obs"
+	"decompstudy/internal/serve"
 )
 
 // TestBadFaultPlanLeavesNothingRunning: an invalid -faults plan exits 2
@@ -69,5 +80,84 @@ func TestFaultRunPrintsManifest(t *testing.T) {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
 		}
+	}
+}
+
+// TestServedSourceDecompileMatchesCLI: /v1/decompile on a source and the
+// decompile CLI on the same file print the same bytes, for every
+// lintdemo file at every optimization level, plain, annotated, as IR and
+// filtered to one function.
+func TestServedSourceDecompileMatchesCLI(t *testing.T) {
+	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, modelstore.New(), serve.Options{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer hs.Close()
+	cache := t.TempDir()
+
+	demos := map[string]string{"clean.c": "sum_range", "dirty.c": "uninit_read"}
+	for file, fn := range demos {
+		path := filepath.Join("..", "..", "examples", "lintdemo", file)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level := 0; level <= 2; level++ {
+			for _, mode := range []struct {
+				name  string
+				flags []string
+				req   serve.DecompileRequest
+			}{
+				{"plain", nil, serve.DecompileRequest{}},
+				{"annotate", []string{"-annotate"}, serve.DecompileRequest{Annotate: true}},
+				{"ir", []string{"-ir"}, serve.DecompileRequest{IR: true}},
+				{"func", []string{"-func", fn}, serve.DecompileRequest{Func: fn}},
+			} {
+				what := fmt.Sprintf("%s -opt %d %s", file, level, mode.name)
+				args := append([]string{"-model-cache", cache, "-opt", strconv.Itoa(level)}, mode.flags...)
+				var stdout, stderr bytes.Buffer
+				if code := run(append(args, path), &stdout, &stderr); code != 0 {
+					t.Fatalf("%s: CLI exit = %d; stderr: %s", what, code, stderr.String())
+				}
+
+				req := mode.req
+				req.Source, req.Opt = string(src), level
+				body, _ := json.Marshal(req)
+				resp, err := hs.Client().Post(hs.URL+"/v1/decompile", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				var got serve.DecompileResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Fatalf("%s: status %d, decode error %v", what, resp.StatusCode, err)
+				}
+				if got.Output != stdout.String() {
+					t.Errorf("%s: served output differs from the CLI\n-- served --\n%s-- CLI --\n%s", what, got.Output, stdout.String())
+				}
+			}
+		}
+	}
+}
+
+// TestFuncMatchingNothingExitsOne: a -func filter that names no function
+// of the file is an error, not an empty success.
+func TestFuncMatchingNothingExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "add.c")
+	if err := os.WriteFile(path, []byte("int add(int a, int b) { return a + b; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-func", "nosuch", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+	if want := `decompile: no function matched "nosuch"`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
 	}
 }

@@ -19,7 +19,7 @@ func loadArgs(hs *httptest.Server) []string {
 }
 
 func TestCleanRunAgainstServerExitsZero(t *testing.T) {
-	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, modelstore.New(), serve.Options{})
+	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, modelstore.New(), serve.Options{Queue: serve.DefaultQueue})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

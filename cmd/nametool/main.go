@@ -34,6 +34,7 @@ import (
 
 	"decompstudy/internal/cli"
 	"decompstudy/internal/compile/opt"
+	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/metrics"
@@ -146,13 +147,11 @@ func snippet(ctx context.Context, id string, level opt.Level, model *embed.Model
 		fmt.Fprintf(stderr, "nametool: %v\n", err)
 		return 1
 	}
-	var pairs []metrics.Pair
 	fmt.Fprintf(stdout, "%s (%s) renamings:\n", s.ID, s.FuncName)
 	for _, r := range p.Dirty.Renames {
 		fmt.Fprintf(stdout, "  %-10s -> %-10s (orig type %-18s -> %s)\n", r.OrigName, r.NewName, r.OrigType, r.NewType)
-		pairs = append(pairs, metrics.Pair{Candidate: r.NewName, Reference: r.OrigName})
 	}
-	rep, err := metrics.EvaluateCtx(ctx, pairs, p.Dirty.Source(), p.OrigSource, model)
+	rep, _, err := core.EvalSnippet(ctx, p, model)
 	if err != nil {
 		fmt.Fprintf(stderr, "nametool: %v\n", err)
 		return 1

@@ -18,10 +18,11 @@
 // the server and discover the port race-free (or read it from -addr-file).
 //
 // Annotate, metrics, decompile and lint requests share one admission
-// path: -jobs of them compute at once and -queue more wait; beyond that
-// the server returns 503 with Retry-After. SIGTERM/SIGINT drain
-// gracefully: in-flight and queued requests complete (up to
-// -drain-timeout), then the process exits.
+// path: -jobs of them compute at once (0: GOMAXPROCS) and -queue more
+// wait (0: none); beyond that the server returns 503 with Retry-After.
+// A negative -jobs, -queue, -study-concurrency or -study-queue exits 2.
+// SIGTERM/SIGINT drain gracefully: in-flight and queued requests
+// complete (up to -drain-timeout), then the process exits.
 package main
 
 import (
@@ -52,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address; port 0 picks a free port (reported on stdout)")
 	addrFile := fs.String("addr-file", "", "also write the bound address to this file (race-free discovery for scripts)")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker budget: concurrent annotate/metrics/decompile/lint requests")
-	queue := fs.Int("queue", serve.DefaultQueue, "admission queue depth for those requests (beyond it: 503)")
+	queue := fs.Int("queue", serve.DefaultQueue, "admission queue depth for those requests (0: none; beyond it: 503)")
 	studyConc := fs.Int("study-concurrency", serve.DefaultStudyConcurrency, "concurrent /v1/study runs")
 	studyQueue := fs.Int("study-queue", serve.DefaultStudyQueue, "/v1/study wait queue depth")
 	allowFault := fs.Bool("allow-fault-header", false, "honor X-Fault-Plan chaos headers (off by default)")
@@ -60,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
 	cf := cli.Register(fs, cli.Log|cli.ModelCache)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *jobs < 0 || *queue < 0 || *studyConc < 0 || *studyQueue < 0 {
+		fmt.Fprintln(stderr, "served: -jobs, -queue, -study-concurrency and -study-queue must not be negative")
 		return 2
 	}
 	logger, err := cf.Logger(stderr)

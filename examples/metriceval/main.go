@@ -8,9 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/metrics"
@@ -47,7 +49,7 @@ func main() {
 		"snippet", "tool", "exact", "Jaccard", "BLEU", "cBLEU", "BERTScore", "VarCLR")
 
 	for _, snip := range corpus.Snippets() {
-		prepared, err := corpus.Prepare(snip)
+		prepared, err := corpus.PrepareOptCtx(context.Background(), snip, opt.O0)
 		if err != nil {
 			log.Fatalf("prepare %s: %v", snip.ID, err)
 		}

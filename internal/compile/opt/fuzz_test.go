@@ -18,11 +18,13 @@ import (
 // a smaller one already exercises, at a cost that would stall the fuzzer.
 const fuzzMaxSource = 4 << 10
 
-// FuzzOptimizeObject drives arbitrary mini-C through the optimizing
-// front end the server runs: parse, lower, verify, then OptimizeObject at
-// -O1 and -O2 with its per-pass verifier and differential gates. Every
-// input must end in a structured error or in optimized IR that verifies
-// without a single diagnostic — never a panic or a hang.
+// FuzzOptimizeObject drives arbitrary mini-C through the source front
+// end served and the decompile CLI run, corpus.CompileSource: parse,
+// lower, then OptimizeObject at -O1 and -O2 with its per-pass verifier
+// and differential gates, with no verification before the optimizer.
+// Every input must end in a structured error of its stage or in
+// optimized IR that verifies without a single diagnostic — never a panic
+// or a hang.
 //
 // Run it with
 //
@@ -50,21 +52,10 @@ func FuzzOptimizeObject(f *testing.F) {
 		if len(src) > fuzzMaxSource {
 			t.Skip()
 		}
-		file, err := csrc.Parse(src, types)
-		if err != nil {
-			return
-		}
-		obj, err := compile.Compile(file)
-		if err != nil {
-			return
-		}
-		if analysis.CountSev(analysis.VerifyObject(ctx, obj), analysis.SevError) > 0 {
-			return
-		}
 		for _, level := range []opt.Level{opt.O1, opt.O2} {
-			out, _, err := opt.OptimizeObject(ctx, obj, level)
+			out, err := corpus.CompileSource(ctx, src, types, level)
 			if err != nil {
-				if !errors.Is(err, opt.ErrOpt) {
+				if !structured(err) {
 					t.Fatalf("%s: unstructured error: %v", level, err)
 				}
 				continue
@@ -74,4 +65,15 @@ func FuzzOptimizeObject(f *testing.F) {
 			}
 		}
 	})
+}
+
+// structured reports whether a front-end error carries the sentinel of
+// the stage that raised it.
+func structured(err error) bool {
+	for _, sentinel := range []error{csrc.ErrLex, csrc.ErrParse, csrc.ErrLimit, compile.ErrUnsupported, opt.ErrOpt} {
+		if errors.Is(err, sentinel) {
+			return true
+		}
+	}
+	return false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"decompstudy/internal/compile"
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
 	"decompstudy/internal/decomp"
@@ -39,7 +40,7 @@ func TestErrorChainContracts(t *testing.T) {
 		{
 			name: "corpus wraps parse",
 			run: func() error {
-				_, err := corpus.PrepareCtx(injected(fault.CsrcParse, "AEEK"), snippet)
+				_, err := corpus.PrepareOptCtx(injected(fault.CsrcParse, "AEEK"), snippet, opt.O0)
 				return err
 			},
 			wants: []error{corpus.ErrPrepare, csrc.ErrParse, fault.ErrInjected},
@@ -47,7 +48,7 @@ func TestErrorChainContracts(t *testing.T) {
 		{
 			name: "corpus wraps compile",
 			run: func() error {
-				_, err := corpus.PrepareCtx(injected(fault.CompileLower, "AEEK"), snippet)
+				_, err := corpus.PrepareOptCtx(injected(fault.CompileLower, "AEEK"), snippet, opt.O0)
 				return err
 			},
 			wants: []error{corpus.ErrPrepare, compile.ErrExec, fault.ErrInjected},
@@ -55,7 +56,7 @@ func TestErrorChainContracts(t *testing.T) {
 		{
 			name: "corpus wraps lift",
 			run: func() error {
-				_, err := corpus.PrepareCtx(injected(fault.DecompLift, "AEEK"), snippet)
+				_, err := corpus.PrepareOptCtx(injected(fault.DecompLift, "AEEK"), snippet, opt.O0)
 				return err
 			},
 			wants: []error{corpus.ErrPrepare, decomp.ErrStructure, fault.ErrInjected},
@@ -63,7 +64,7 @@ func TestErrorChainContracts(t *testing.T) {
 		{
 			name: "corpus wraps annotate",
 			run: func() error {
-				_, err := corpus.PrepareCtx(injected(fault.NamerecAnnotate, "AEEK"), snippet)
+				_, err := corpus.PrepareOptCtx(injected(fault.NamerecAnnotate, "AEEK"), snippet, opt.O0)
 				return err
 			},
 			wants: []error{corpus.ErrPrepare, namerec.ErrAnnotate, fault.ErrInjected},

@@ -231,7 +231,7 @@ func (s *Study) build(ctx context.Context, c Config) error {
 		if err != nil {
 			return out, nil
 		}
-		out.rep, out.cov, out.evalErr = evalSnippet(ctx, out.p, em)
+		out.rep, out.cov, out.evalErr = EvalSnippet(ctx, out.p, em)
 		out.evaled = out.evalErr == nil
 		return out, nil
 	})
@@ -340,11 +340,12 @@ func (s *Study) runSurvey(ctx context.Context, c Config) (*survey.Dataset, error
 	return d, nil
 }
 
-// evalSnippet is the per-snippet pipeline tail: the intrinsic metric
+// EvalSnippet is the per-snippet pipeline tail: the intrinsic metric
 // battery over the snippet's rename pairs plus the structural-complexity
 // covariates, folded into one report. Identical inputs produce
-// bit-identical reports regardless of which worker runs them.
-func evalSnippet(ctx context.Context, p *corpus.Prepared, em *embed.Model) (metrics.Report, analysis.Covariates, error) {
+// bit-identical reports regardless of which worker runs them. The study,
+// served's /v1/metrics and `nametool snippet` all score through it.
+func EvalSnippet(ctx context.Context, p *corpus.Prepared, em *embed.Model) (metrics.Report, analysis.Covariates, error) {
 	pairs := make([]metrics.Pair, 0, len(p.Dirty.Renames))
 	for _, r := range p.Dirty.Renames {
 		pairs = append(pairs, metrics.Pair{Candidate: r.NewName, Reference: r.OrigName})

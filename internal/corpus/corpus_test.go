@@ -1,10 +1,12 @@
 package corpus
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/namerec"
 )
@@ -62,9 +64,9 @@ func TestAllSnippetsParse(t *testing.T) {
 }
 
 func TestPrepareAllPipeline(t *testing.T) {
-	prepared, err := PrepareAll()
+	prepared, err := PrepareSnippetsOpt(context.Background(), Snippets(), opt.O0)
 	if err != nil {
-		t.Fatalf("PrepareAll: %v", err)
+		t.Fatalf("PrepareSnippetsOpt: %v", err)
 	}
 	if len(prepared) != 4 {
 		t.Fatalf("prepared = %d, want 4", len(prepared))
@@ -92,7 +94,7 @@ func TestPrepareAllPipeline(t *testing.T) {
 
 func TestAEEKReproducesPaperFailures(t *testing.T) {
 	s, _ := SnippetByID("AEEK")
-	p, err := Prepare(s)
+	p, err := PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -112,7 +114,7 @@ func TestAEEKReproducesPaperFailures(t *testing.T) {
 
 func TestPostorderReproducesArgSwap(t *testing.T) {
 	s, _ := SnippetByID("POSTORDER")
-	p, err := Prepare(s)
+	p, err := PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -131,7 +133,7 @@ func TestPostorderReproducesArgSwap(t *testing.T) {
 
 func TestBAPLReproducesSignature(t *testing.T) {
 	s, _ := SnippetByID("BAPL")
-	p, err := Prepare(s)
+	p, err := PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -254,7 +256,7 @@ func TestVariantPerfectAnnotations(t *testing.T) {
 			}
 		}
 		// Must still prepare end-to-end.
-		if _, err := Prepare(v); err != nil {
+		if _, err := PrepareOptCtx(context.Background(), v, opt.O0); err != nil {
 			t.Errorf("%s: %v", v.ID, err)
 		}
 	}

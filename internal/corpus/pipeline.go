@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"decompstudy/internal/analysis"
 	"decompstudy/internal/compile"
@@ -42,24 +43,14 @@ type Prepared struct {
 	OrigSource string
 }
 
-// Prepare runs one snippet through compile→decompile→annotate.
-func Prepare(s *Snippet) (*Prepared, error) {
-	return PrepareCtx(context.Background(), s)
-}
-
-// PrepareCtx is Prepare with telemetry: one corpus.Prepare span per snippet
-// with the parse/compile/lift/annotate stages as children. It prepares at
-// -O0, the study default.
-func PrepareCtx(ctx context.Context, s *Snippet) (*Prepared, error) {
-	return PrepareOptCtx(ctx, s, opt.O0)
-}
-
-// PrepareOptCtx is PrepareCtx with an optimization level: after the IR
-// verifies, the whole object runs through compile/opt at the given level
-// (verified after every pass and differentially executed against the
-// unoptimized object), and decompilation, annotation, and covariates are
-// computed from the optimized IR. opt.O0 is the identity — the pipeline
-// is then byte-identical to PrepareCtx.
+// PrepareOptCtx runs one snippet through compile→decompile→annotate, with
+// one corpus.Prepare span per snippet and the parse/compile/lift/annotate
+// stages as children. After the IR verifies, the whole object runs
+// through compile/opt at the given level (verified after every pass and
+// differentially executed against the unoptimized object), and
+// decompilation, annotation, and covariates are computed from the
+// optimized IR. opt.O0, the study default, is the identity: the object
+// passes through untouched.
 func PrepareOptCtx(ctx context.Context, s *Snippet, level opt.Level) (*Prepared, error) {
 	// The snippet ID is the fault-injection item key for every stage this
 	// snippet flows through (key-matched rules fire only on this snippet).
@@ -113,6 +104,81 @@ func PrepareOptCtx(ctx context.Context, s *Snippet, level opt.Level) (*Prepared,
 	}, nil
 }
 
+// Render is the snippet's decompile output: its IR when ir is set,
+// otherwise the treatment arm when annotate is set and the control arm
+// when not.
+func (p *Prepared) Render(ir, annotate bool) string {
+	switch {
+	case ir:
+		return p.IR.String()
+	case annotate:
+		return p.Dirty.Source()
+	default:
+		return p.HexRays.Source()
+	}
+}
+
+// ErrNoFunc is returned by RenderSource when its function filter names
+// no function of the object.
+var ErrNoFunc = errors.New("no function matched")
+
+// CompileSource is the front end for arbitrary mini-C (the decompile CLI
+// and served's /v1/decompile and /v1/lint): parse, lower, and run the
+// whole object through compile/opt at level. opt.O0 passes the lowered
+// object through untouched.
+func CompileSource(ctx context.Context, src string, types []string, level opt.Level) (*compile.Object, error) {
+	file, err := csrc.ParseCtx(ctx, src, types)
+	if err != nil {
+		return nil, err
+	}
+	obj, err := compile.CompileCtx(ctx, file)
+	if err != nil {
+		return nil, err
+	}
+	obj, _, err = opt.OptimizeObject(ctx, obj, level)
+	return obj, err
+}
+
+// RenderSource writes the functions of a CompileSource object to w, one
+// text per function followed by a newline: every function, or only the
+// one named fn when fn is not empty. Each text is the function's IR when
+// ir is set, otherwise its lifted pseudo-C, annotated by model when model
+// is not nil. A filter that matches nothing is ErrNoFunc.
+func RenderSource(ctx context.Context, w io.Writer, obj *compile.Object, fn string, ir bool, model *namerec.Model) error {
+	var annotator *namerec.Annotator
+	if model != nil {
+		annotator = &namerec.Annotator{Model: model}
+	}
+	matched := false
+	for _, f := range obj.Funcs {
+		if fn != "" && f.Name != fn {
+			continue
+		}
+		matched = true
+		if ir {
+			fmt.Fprintln(w, f.String())
+			continue
+		}
+		d, err := decomp.LiftFuncCtx(ctx, f)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
+		}
+		if annotator == nil {
+			fmt.Fprintln(w, d.Source())
+			continue
+		}
+		a, err := annotator.AnnotateCtx(ctx, d)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
+		}
+		fmt.Fprintln(w, a.Source())
+	}
+	if fn != "" && !matched {
+		return fmt.Errorf("%w %q", ErrNoFunc, fn)
+	}
+	return nil
+}
+
 // optimizeIR runs the object through compile/opt. Failures — an
 // unverifiable pass output or a differential disagreement — exclude the
 // snippet exactly like any other pipeline stage fault, with the
@@ -129,7 +195,7 @@ func optimizeIR(ctx context.Context, id string, obj *compile.Object, level opt.L
 // verifyIR rejects malformed compiled IR with structured diagnostics
 // naming the offending block/instruction instead of letting
 // decomp.LiftFunc fail opaquely; the diagnostics ride the per-snippet
-// error that PrepareSnippets joins, and errors.Is(err,
+// error that PrepareSnippetsOpt joins, and errors.Is(err,
 // analysis.ErrMalformed) identifies the rejection.
 func verifyIR(ctx context.Context, id string, obj *compile.Object) error {
 	if verr := analysis.AsError(analysis.VerifyObject(ctx, obj), analysis.SevError); verr != nil {
@@ -139,36 +205,16 @@ func verifyIR(ctx context.Context, id string, obj *compile.Object) error {
 	return nil
 }
 
-// PrepareAll prepares every study snippet.
-func PrepareAll() ([]*Prepared, error) {
-	return PrepareAllCtx(context.Background())
-}
-
-// PrepareAllCtx prepares every study snippet under a corpus.PrepareAll span.
-func PrepareAllCtx(ctx context.Context) ([]*Prepared, error) {
-	return PrepareSnippets(ctx, Snippets())
-}
-
-// PrepareAllOptCtx prepares every study snippet at the given optimization
-// level.
-func PrepareAllOptCtx(ctx context.Context, level opt.Level) ([]*Prepared, error) {
-	return PrepareSnippetsOpt(ctx, Snippets(), level)
-}
-
-// PrepareSnippets prepares the given snippets, continuing past per-snippet
-// failures. On error it returns the successfully prepared snippets together
-// with every failure joined via errors.Join, so telemetry can report partial
-// pipeline outcomes instead of only the first fault.
+// PrepareSnippetsOpt prepares the given snippets at an optimization
+// level, continuing past per-snippet failures. On error it returns the
+// successfully prepared snippets together with every failure joined via
+// errors.Join, so telemetry can report partial pipeline outcomes instead
+// of only the first fault.
 //
 // Snippets fan out across the context's worker count (par.JobsFrom).
 // Successes and failures are both assembled in input order regardless of
 // completion order, so the returned slice and the joined error message are
 // identical at any worker count.
-func PrepareSnippets(ctx context.Context, snippets []*Snippet) ([]*Prepared, error) {
-	return PrepareSnippetsOpt(ctx, snippets, opt.O0)
-}
-
-// PrepareSnippetsOpt is PrepareSnippets at an explicit optimization level.
 func PrepareSnippetsOpt(ctx context.Context, snippets []*Snippet, level opt.Level) ([]*Prepared, error) {
 	jobs := par.JobsFrom(ctx)
 	ctx, sp := obs.StartSpan(ctx, "corpus.PrepareAll",

@@ -26,14 +26,14 @@ func TestPrepareAllOptLevels(t *testing.T) {
 		return n
 	}
 
-	base, err := PrepareAllCtx(ctx)
+	base, err := PrepareSnippetsOpt(ctx, Snippets(), opt.O0)
 	if err != nil {
 		t.Fatalf("-O0: %v", err)
 	}
 	totals := map[opt.Level]int{opt.O0: count(base)}
 
 	for _, level := range []opt.Level{opt.O1, opt.O2} {
-		ps, err := PrepareAllOptCtx(ctx, level)
+		ps, err := PrepareSnippetsOpt(ctx, Snippets(), level)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"decompstudy/internal/analysis"
 	"decompstudy/internal/compile"
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/par"
 )
@@ -24,7 +25,7 @@ func TestPrepareSnippetsJoinsAllErrors(t *testing.T) {
 	bad1 := &Snippet{ID: "BAD1", FuncName: "f", Source: "int f( {"}
 	bad2 := &Snippet{ID: "BAD2", FuncName: "not_defined", Source: "void g(void) {}"}
 
-	prepared, err := PrepareSnippets(context.Background(), []*Snippet{bad1, good, bad2})
+	prepared, err := PrepareSnippetsOpt(context.Background(), []*Snippet{bad1, good, bad2}, opt.O0)
 	if err == nil {
 		t.Fatal("want joined error, got nil")
 	}
@@ -60,7 +61,7 @@ func TestPrepareSnippetsDeterministicUnderFanOut(t *testing.T) {
 	var wantPrepared []string
 	var wantErr string
 	for i, jobs := range []int{1, 4, 8} {
-		prepared, err := PrepareSnippets(par.WithJobs(context.Background(), jobs), input)
+		prepared, err := PrepareSnippetsOpt(par.WithJobs(context.Background(), jobs), input, opt.O0)
 		if err == nil {
 			t.Fatalf("jobs=%d: want joined error", jobs)
 		}
@@ -94,7 +95,7 @@ func TestPrepareSnippetsCountsOutcomes(t *testing.T) {
 	o := obs.New()
 	ctx := obs.With(context.Background(), o)
 	bad := &Snippet{ID: "BROKEN", FuncName: "f", Source: "int f( {"}
-	if _, err := PrepareSnippets(ctx, append([]*Snippet{bad}, Snippets()...)); err == nil {
+	if _, err := PrepareSnippetsOpt(ctx, append([]*Snippet{bad}, Snippets()...), opt.O0); err == nil {
 		t.Fatal("want error from broken snippet")
 	}
 	if got := o.Metrics.Counter("corpus.prepare.failed").Value(); got != 1 {
@@ -149,7 +150,7 @@ func TestPrepareExposesVerifiedIR(t *testing.T) {
 	if !ok {
 		t.Fatal("TC snippet missing")
 	}
-	p, err := Prepare(s)
+	p, err := PrepareOptCtx(context.Background(), s, opt.O0)
 	if err != nil {
 		t.Fatal(err)
 	}

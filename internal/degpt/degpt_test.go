@@ -1,11 +1,13 @@
 package degpt
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"decompstudy/internal/compile"
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
 	"decompstudy/internal/decomp"
@@ -226,7 +228,7 @@ func TestOptimizeNil(t *testing.T) {
 func TestOptimizeStudySnippets(t *testing.T) {
 	// Every study snippet must survive the full enrichment pipeline.
 	for _, s := range corpus.Snippets() {
-		p, err := corpus.Prepare(s)
+		p, err := corpus.PrepareOptCtx(context.Background(), s, opt.O0)
 		if err != nil {
 			t.Fatalf("Prepare %s: %v", s.ID, err)
 		}

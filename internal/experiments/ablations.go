@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/modelstore"
@@ -127,7 +128,7 @@ func AblationsCtx(ctx context.Context, seed int64) (string, []AblationResult, er
 	if modelstore.From(ctx) == nil {
 		ctx = modelstore.With(ctx, modelstore.New())
 	}
-	prepared, err := corpus.PrepareAllCtx(ctx)
+	prepared, err := corpus.PrepareSnippetsOpt(ctx, corpus.Snippets(), opt.O0)
 	if err != nil && len(prepared) == 0 {
 		return "", nil, fmt.Errorf("experiments: ablations corpus: %w", err)
 	}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
 	"decompstudy/internal/degpt"
@@ -39,7 +41,7 @@ func ConfoundComparison() (string, error) {
 	}
 	var maxShift float64
 	for _, s := range corpus.Snippets() {
-		p, err := corpus.Prepare(s)
+		p, err := corpus.PrepareOptCtx(context.Background(), s, opt.O0)
 		if err != nil {
 			return "", err
 		}

@@ -81,7 +81,7 @@ func OptLevelsCtx(ctx context.Context, seed int64) (string, []OptLevelResult, er
 		return out
 	}
 
-	base, err := corpus.PrepareAllCtx(ctx)
+	base, err := corpus.PrepareSnippetsOpt(ctx, corpus.Snippets(), opt.O0)
 	if err != nil {
 		return "", nil, fmt.Errorf("experiments: optlevels -O0 corpus: %w", err)
 	}
@@ -93,7 +93,7 @@ func OptLevelsCtx(ctx context.Context, seed int64) (string, []OptLevelResult, er
 			ps := base // -O0 reuses the baseline preparation
 			if level != opt.O0 {
 				var err error
-				ps, err = corpus.PrepareAllOptCtx(ctx, level)
+				ps, err = corpus.PrepareSnippetsOpt(ctx, corpus.Snippets(), level)
 				if err != nil {
 					return OptLevelResult{}, fmt.Errorf("experiments: optlevels %s corpus: %w", level, err)
 				}

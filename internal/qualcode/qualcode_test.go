@@ -1,10 +1,12 @@
 package qualcode
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
 )
@@ -59,9 +61,9 @@ func panelModel(t *testing.T) *embed.Model {
 
 func studyPairSets(t *testing.T) []PairSet {
 	t.Helper()
-	prepared, err := corpus.PrepareAll()
+	prepared, err := corpus.PrepareSnippetsOpt(context.Background(), corpus.Snippets(), opt.O0)
 	if err != nil {
-		t.Fatalf("PrepareAll: %v", err)
+		t.Fatalf("PrepareSnippetsOpt: %v", err)
 	}
 	var sets []PairSet
 	for _, p := range prepared {

@@ -11,15 +11,12 @@ import (
 	"time"
 
 	"decompstudy/internal/analysis"
-	"decompstudy/internal/compile"
 	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/csrc"
-	"decompstudy/internal/decomp"
 	"decompstudy/internal/experiments"
 	"decompstudy/internal/fault"
-	"decompstudy/internal/metrics"
 	"decompstudy/internal/namerec"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/par"
@@ -102,15 +99,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // fail maps processing errors to status codes: saturation is 503
 // (retryable elsewhere), client abandonment gets no body, a source nested
-// past the csrc limits is a 400, and everything else is a 500 carrying
-// the pipeline error.
+// past the csrc limits and a func filter that matches nothing are 400s,
+// and everything else is a 500 carrying the pipeline error.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, csrc.ErrLimit):
+	case errors.Is(err, csrc.ErrLimit), errors.Is(err, corpus.ErrNoFunc):
 		// Input nested past the parser's limits is the client's fault;
 		// other parse errors (and injected csrc.parse faults) stay 500.
 		writeError(w, http.StatusBadRequest, err)
@@ -149,20 +146,91 @@ func (s *Server) requestCtx(r *http.Request) (ctx context.Context, status int, e
 	return fault.With(ctx, fault.NewInjector(plan, fault.DefaultRetryBudget)), 0, nil
 }
 
-func snippetByID(id string) (*corpus.Snippet, error) {
-	sn, ok := corpus.SnippetByID(strings.ToUpper(id))
-	if !ok {
-		return nil, fmt.Errorf("unknown snippet %q (want AEEK, BAPL, POSTORDER, TC)", id)
-	}
-	return sn, nil
-}
-
 func parseOpt(level int) (opt.Level, error) {
 	l, err := opt.ParseLevel(level)
 	if err != nil {
 		return 0, fmt.Errorf("invalid opt level: %w", err)
 	}
 	return l, nil
+}
+
+// input is a validated pipeline request: a study snippet (whose source
+// and types then fill source and types) or an arbitrary source, at an
+// optimization level.
+type input struct {
+	snippet *corpus.Snippet
+	source  string
+	types   []string
+	level   opt.Level
+}
+
+// snippetInput validates a request that names a study snippet.
+func snippetInput(id string, level int) (input, error) {
+	sn, ok := corpus.SnippetByID(strings.ToUpper(id))
+	if !ok {
+		return input{}, fmt.Errorf("unknown snippet %q (want AEEK, BAPL, POSTORDER, TC)", id)
+	}
+	l, err := parseOpt(level)
+	if err != nil {
+		return input{}, err
+	}
+	return input{snippet: sn, source: sn.Source, types: sn.ExtraTypes, level: l}, nil
+}
+
+// codeInput validates a request that carries exactly one of a snippet ID
+// or a source.
+func codeInput(id, source string, types []string, level int) (input, error) {
+	if (id == "") == (source == "") {
+		return input{}, fmt.Errorf("exactly one of snippet or source is required")
+	}
+	if id != "" {
+		return snippetInput(id, level)
+	}
+	l, err := parseOpt(level)
+	if err != nil {
+		return input{}, err
+	}
+	return input{source: source, types: types, level: l}, nil
+}
+
+// pipelineRequest is a request body of a pipeline endpoint; input
+// validates it.
+type pipelineRequest interface {
+	input() (input, error)
+}
+
+// admit is the prelude every pipeline endpoint shares: decode the body
+// into req and validate it, both answered with a 400 before any slot is
+// taken; derive the request's processing context; take a pipeline slot
+// on the request's own context; and compute with one worker. The
+// response compute returns is written as JSON, its error through fail.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req pipelineRequest,
+	compute func(ctx context.Context, in input) (any, error)) {
+	if err := decode(r, req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	in, err := req.input()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	procCtx, status, err := s.requestCtx(r)
+	if err != nil {
+		writeError(w, status, err)
+		return
+	}
+	if err := s.pipeline.Acquire(r.Context()); err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer s.pipeline.Release()
+	out, err := compute(par.WithJobs(procCtx, 1), in)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // ---- health --------------------------------------------------------------
@@ -218,38 +286,16 @@ func annotateResponseFrom(p *corpus.Prepared) *AnnotateResponse {
 	return resp
 }
 
+func (q *AnnotateRequest) input() (input, error) { return snippetInput(q.Snippet, q.Opt) }
+
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	var req AnnotateRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sn, err := snippetByID(req.Snippet)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	level, err := parseOpt(req.Opt)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	procCtx, status, err := s.requestCtx(r)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if err := s.pipeline.Acquire(r.Context()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer s.pipeline.Release()
-	p, err := corpus.PrepareOptCtx(par.WithJobs(procCtx, 1), sn, level)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, annotateResponseFrom(p))
+	s.admit(w, r, &AnnotateRequest{}, func(ctx context.Context, in input) (any, error) {
+		p, err := corpus.PrepareOptCtx(ctx, in.snippet, in.level)
+		if err != nil {
+			return nil, err
+		}
+		return annotateResponseFrom(p), nil
+	})
 }
 
 // MetricsRequest asks for the intrinsic metric battery of a snippet's
@@ -282,19 +328,14 @@ type MetricsResponse struct {
 }
 
 func (s *Server) metricsResponseFrom(ctx context.Context, p *corpus.Prepared) (*MetricsResponse, error) {
-	pairs := make([]metrics.Pair, 0, len(p.Dirty.Renames))
-	for _, rn := range p.Dirty.Renames {
-		pairs = append(pairs, metrics.Pair{Candidate: rn.NewName, Reference: rn.OrigName})
-	}
-	rep, err := metrics.EvaluateCtx(fault.WithKey(ctx, p.Snippet.ID), pairs, p.Dirty.Source(), p.OrigSource, s.embedModel)
+	rep, cov, err := core.EvalSnippet(ctx, p, s.embedModel)
 	if err != nil {
 		return nil, err
 	}
-	cov := analysis.MeasureCtx(ctx, p.IR)
 	return &MetricsResponse{
 		Snippet: p.Snippet.ID,
 		Opt:     p.OptLevel.String(),
-		Pairs:   len(pairs),
+		Pairs:   len(p.Dirty.Renames),
 		Report: MetricsReport{
 			ExactMatch:    rep.ExactMatch,
 			Levenshtein:   rep.Levenshtein,
@@ -309,44 +350,16 @@ func (s *Server) metricsResponseFrom(ctx context.Context, p *corpus.Prepared) (*
 	}, nil
 }
 
+func (q *MetricsRequest) input() (input, error) { return snippetInput(q.Snippet, q.Opt) }
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var req MetricsRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sn, err := snippetByID(req.Snippet)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	level, err := parseOpt(req.Opt)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	procCtx, status, err := s.requestCtx(r)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if err := s.pipeline.Acquire(r.Context()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer s.pipeline.Release()
-	ctx := par.WithJobs(procCtx, 1)
-	p, err := corpus.PrepareOptCtx(ctx, sn, level)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	out, err := s.metricsResponseFrom(ctx, p)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.admit(w, r, &MetricsRequest{}, func(ctx context.Context, in input) (any, error) {
+		p, err := corpus.PrepareOptCtx(ctx, in.snippet, in.level)
+		if err != nil {
+			return nil, err
+		}
+		return s.metricsResponseFrom(ctx, p)
+	})
 }
 
 // ---- decompile -----------------------------------------------------------
@@ -371,110 +384,34 @@ type DecompileResponse struct {
 	Output string `json:"output"`
 }
 
+func (q *DecompileRequest) input() (input, error) {
+	return codeInput(q.Snippet, q.Source, q.Types, q.Opt)
+}
+
 func (s *Server) handleDecompile(w http.ResponseWriter, r *http.Request) {
-	var req DecompileRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if (req.Snippet == "") == (req.Source == "") {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("exactly one of snippet or source is required"))
-		return
-	}
-	level, err := parseOpt(req.Opt)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	procCtx, status, err := s.requestCtx(r)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if err := s.pipeline.Acquire(r.Context()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer s.pipeline.Release()
-	ctx := par.WithJobs(procCtx, 1)
-
-	var out string
-	if req.Snippet != "" {
-		out, err = s.decompileSnippet(ctx, req, level)
-	} else {
-		out, err = s.decompileSource(ctx, req, level)
-	}
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &DecompileResponse{Output: out})
-}
-
-func (s *Server) decompileSnippet(ctx context.Context, req DecompileRequest, level opt.Level) (string, error) {
-	sn, err := snippetByID(req.Snippet)
-	if err != nil {
-		return "", err
-	}
-	p, err := corpus.PrepareOptCtx(ctx, sn, level)
-	if err != nil {
-		return "", err
-	}
-	switch {
-	case req.IR:
-		return p.IR.String(), nil
-	case req.Annotate:
-		return p.Dirty.Source(), nil
-	default:
-		return p.HexRays.Source(), nil
-	}
-}
-
-func (s *Server) decompileSource(ctx context.Context, req DecompileRequest, level opt.Level) (string, error) {
-	file, err := csrc.ParseCtx(ctx, req.Source, req.Types)
-	if err != nil {
-		return "", err
-	}
-	obj, err := compile.CompileCtx(ctx, file)
-	if err != nil {
-		return "", err
-	}
-	if obj, _, err = opt.OptimizeObject(ctx, obj, level); err != nil {
-		return "", err
-	}
-	var annotator *namerec.Annotator
-	if req.Annotate {
-		annotator = &namerec.Annotator{Model: s.recModel}
-	}
-	var sb strings.Builder
-	matched := false
-	for _, fn := range obj.Funcs {
-		if req.Func != "" && fn.Name != req.Func {
-			continue
-		}
-		matched = true
-		if req.IR {
-			fmt.Fprintln(&sb, fn.String())
-			continue
-		}
-		d, err := decomp.LiftFuncCtx(ctx, fn)
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", fn.Name, err)
-		}
-		if annotator != nil {
-			a, err := annotator.AnnotateCtx(ctx, d)
+	req := &DecompileRequest{}
+	s.admit(w, r, req, func(ctx context.Context, in input) (any, error) {
+		if in.snippet != nil {
+			p, err := corpus.PrepareOptCtx(ctx, in.snippet, in.level)
 			if err != nil {
-				return "", fmt.Errorf("%s: %w", fn.Name, err)
+				return nil, err
 			}
-			fmt.Fprintln(&sb, a.Source())
-			continue
+			return &DecompileResponse{Output: p.Render(req.IR, req.Annotate)}, nil
 		}
-		fmt.Fprintln(&sb, d.Source())
-	}
-	if !matched {
-		return "", fmt.Errorf("no function matched %q", req.Func)
-	}
-	return sb.String(), nil
+		obj, err := corpus.CompileSource(ctx, in.source, in.types, in.level)
+		if err != nil {
+			return nil, err
+		}
+		var model *namerec.Model
+		if req.Annotate {
+			model = s.recModel
+		}
+		var sb strings.Builder
+		if err := corpus.RenderSource(ctx, &sb, obj, req.Func, req.IR, model); err != nil {
+			return nil, err
+		}
+		return &DecompileResponse{Output: sb.String()}, nil
+	})
 }
 
 // ---- lint ----------------------------------------------------------------
@@ -495,63 +432,24 @@ type LintResponse struct {
 	Covariates map[string]analysis.Covariates `json:"covariates"`
 }
 
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	var req LintRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if (req.Snippet == "") == (req.Source == "") {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("exactly one of snippet or source is required"))
-		return
-	}
-	level, err := parseOpt(req.Opt)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	procCtx, status, err := s.requestCtx(r)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if err := s.pipeline.Acquire(r.Context()); err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer s.pipeline.Release()
-	ctx := par.WithJobs(procCtx, 1)
+func (q *LintRequest) input() (input, error) {
+	return codeInput(q.Snippet, q.Source, q.Types, q.Opt)
+}
 
-	source, types := req.Source, req.Types
-	if req.Snippet != "" {
-		sn, err := snippetByID(req.Snippet)
+func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
+	s.admit(w, r, &LintRequest{}, func(ctx context.Context, in input) (any, error) {
+		obj, err := corpus.CompileSource(ctx, in.source, in.types, in.level)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
-		source, types = sn.Source, sn.ExtraTypes
-	}
-	file, err := csrc.ParseCtx(ctx, source, types)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	obj, err := compile.CompileCtx(ctx, file)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if obj, _, err = opt.OptimizeObject(ctx, obj, level); err != nil {
-		s.fail(w, err)
-		return
-	}
-	diags := analysis.CheckObject(ctx, obj)
-	if diags == nil {
-		diags = []analysis.Diag{}
-	}
-	writeJSON(w, http.StatusOK, &LintResponse{
-		Diags:      diags,
-		Covariates: analysis.MeasureObject(ctx, obj),
+		diags := analysis.CheckObject(ctx, obj)
+		if diags == nil {
+			diags = []analysis.Diag{}
+		}
+		return &LintResponse{
+			Diags:      diags,
+			Covariates: analysis.MeasureObject(ctx, obj),
+		}, nil
 	})
 }
 

@@ -26,7 +26,8 @@ import (
 	"decompstudy/internal/par"
 )
 
-// Defaults for Options zero values.
+// Defaults for the served flags. Of these, only DefaultStudyConcurrency
+// also stands in for a zero Options value.
 const (
 	DefaultQueue            = 256
 	DefaultStudyConcurrency = 2
@@ -37,8 +38,10 @@ const (
 // default, so /v1/study shares the warm model's store key.
 const DefaultEmbedDim = 24
 
-// Options configures a Server. Zero values mean the defaults above;
-// Jobs zero means GOMAXPROCS.
+// Options configures a Server. A zero concurrency means its default
+// (Jobs: GOMAXPROCS, StudyConcurrency: DefaultStudyConcurrency); a zero
+// queue means no waiting room, so a request that finds every slot busy
+// is rejected at once.
 type Options struct {
 	// Jobs is the worker budget: this many annotate, metrics, decompile
 	// and lint requests compute at once.
@@ -59,14 +62,8 @@ func (o Options) withDefaults() Options {
 	if o.Jobs <= 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
 	}
-	if o.Queue <= 0 {
-		o.Queue = DefaultQueue
-	}
 	if o.StudyConcurrency <= 0 {
 		o.StudyConcurrency = DefaultStudyConcurrency
-	}
-	if o.StudyQueue <= 0 {
-		o.StudyQueue = DefaultStudyQueue
 	}
 	return o
 }

@@ -115,7 +115,7 @@ func TestAnnotateMatchesDirectPrepare(t *testing.T) {
 			t.Fatalf("%s: bad JSON: %v", id, err)
 		}
 		sn, _ := corpus.SnippetByID(id)
-		p, err := corpus.PrepareCtx(context.Background(), sn)
+		p, err := corpus.PrepareOptCtx(context.Background(), sn, opt.O0)
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", id, err)
 		}
@@ -229,7 +229,7 @@ func TestNestingLimitIsA400(t *testing.T) {
 // the pipeline's slots, each come back byte-equal to the snippet prepared
 // directly in-process and encoded the way the handler encodes it.
 func TestConcurrentResponsesMatchDirectCompute(t *testing.T) {
-	srv, hs := newTestServer(t, Options{})
+	srv, hs := newTestServer(t, Options{Queue: DefaultQueue})
 	reqs := []struct {
 		path, body, snippet string
 		level               opt.Level
@@ -382,6 +382,49 @@ func TestOneAdmissionPath(t *testing.T) {
 	}
 }
 
+// TestZeroQueueShedsAtOnce: a zero Queue is no waiting room. With the
+// only slot held by a delayed annotate, the next pipeline request is shed
+// with a 503 long before that slot frees, while a request naming an
+// unknown snippet is still answered 400: validation comes before
+// admission.
+func TestZeroQueueShedsAtOnce(t *testing.T) {
+	const delay = 2 * time.Second
+	srv, hs := newTestServer(t, Options{Jobs: 1, AllowFaultHeader: true})
+	client := hs.Client()
+	client.Timeout = 30 * time.Second
+
+	done := make(chan int, 1)
+	go func() {
+		resp, _ := post(t, client, hs.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
+			map[string]string{"X-Fault-Plan": fmt.Sprintf("seed=1; csrc.parse:delay,p=1,delay=%s", delay)})
+		done <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.pipeline.InFlight() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the delayed annotate never took the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	resp, raw := post(t, client, hs.URL+"/v1/metrics", `{"snippet": "TC"}`, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("metrics behind a busy slot and no queue: status %d, body %s", resp.StatusCode, raw)
+	}
+	checkShed(t, "metrics", resp.Header.Get("Retry-After"), raw)
+	if waited := time.Since(start); waited >= delay/2 {
+		t.Errorf("the 503 took %s: it waited for the slot", waited)
+	}
+	resp, raw = post(t, client, hs.URL+"/v1/decompile", `{"snippet": "NOPE"}`, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown snippet behind a busy slot: status %d, body %s", resp.StatusCode, raw)
+	}
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("the delayed annotate: status %d, want 200", code)
+	}
+}
+
 func TestFaultHeaderGating(t *testing.T) {
 	_, locked := newTestServer(t, Options{})
 	resp, raw := post(t, locked.Client(), locked.URL+"/v1/annotate", `{"snippet": "AEEK"}`,
@@ -420,18 +463,25 @@ func TestRequestValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
+		msg              string // a substring of the error, when pinned
 	}{
-		{"bad json", "/v1/annotate", `{"snippet":`, http.StatusBadRequest},
-		{"unknown field", "/v1/annotate", `{"snipet": "AEEK"}`, http.StatusBadRequest},
-		{"unknown snippet", "/v1/annotate", `{"snippet": "NOPE"}`, http.StatusBadRequest},
-		{"bad opt", "/v1/metrics", `{"snippet": "AEEK", "opt": 9}`, http.StatusBadRequest},
-		{"both inputs", "/v1/decompile", `{"snippet": "AEEK", "source": "int f() {}"}`, http.StatusBadRequest},
-		{"neither input", "/v1/lint", `{}`, http.StatusBadRequest},
-		{"bad artifact", "/v1/study", `{"artifact": "tableX"}`, http.StatusBadRequest},
+		{"bad json", "/v1/annotate", `{"snippet":`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/annotate", `{"snipet": "AEEK"}`, http.StatusBadRequest, ""},
+		{"unknown snippet", "/v1/annotate", `{"snippet": "NOPE"}`, http.StatusBadRequest, ""},
+		{"bad opt", "/v1/metrics", `{"snippet": "AEEK", "opt": 9}`, http.StatusBadRequest, ""},
+		{"both inputs", "/v1/decompile", `{"snippet": "AEEK", "source": "int f() {}"}`, http.StatusBadRequest, ""},
+		{"neither input", "/v1/lint", `{}`, http.StatusBadRequest, ""},
+		{"bad artifact", "/v1/study", `{"artifact": "tableX"}`, http.StatusBadRequest, ""},
+		{"unknown snippet to decompile", "/v1/decompile", `{"snippet": "NOPE"}`, http.StatusBadRequest, `unknown snippet \"NOPE\"`},
+		{"func matches nothing", "/v1/decompile", `{"source": "int f(int a) { return a; }", "func": "g"}`,
+			http.StatusBadRequest, `no function matched \"g\"`},
 	} {
 		resp, raw := post(t, client, hs.URL+tc.path, tc.body, nil)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, resp.StatusCode, tc.want, raw)
+		}
+		if !strings.Contains(string(raw), tc.msg) {
+			t.Errorf("%s: body %s, want it to contain %s", tc.name, raw, tc.msg)
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/embed"
 	"decompstudy/internal/linalg"
@@ -143,7 +144,7 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("metrics_evaluate", func(b *testing.B) {
 		m := kernelModel(b)
 		s, _ := corpus.SnippetByID("AEEK")
-		p, err := corpus.Prepare(s)
+		p, err := corpus.PrepareOptCtx(context.Background(), s, opt.O0)
 		if err != nil {
 			b.Fatal(err)
 		}

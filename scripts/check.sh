@@ -31,7 +31,9 @@
 # `!` must be a 400 counted as csrc.parse.limit_rejects, /debug/metrics
 # must expose the serve.request series, a
 # /v1/study response must hash byte-identical to the studysim CLI at seed
-# 26, and SIGTERM must drain cleanly. The smoke (without the -race test
+# 26, /v1/decompile on examples/lintdemo/dirty.c at -opt 2 with annotate
+# must hash identical to `decompile -opt 2 -annotate`, and SIGTERM must
+# drain cleanly. The smoke (without the -race test
 # pass, which the default gate already runs) also runs as part of the
 # default gate.
 #
@@ -90,13 +92,15 @@ store_identity_sweep() {
 # over the full endpoint mix, a deep nest that decompiles and an
 # over-nested body that is a counted 400, the serve.request series on
 # /debug/metrics,
-# /v1/study bytes identical to the studysim CLI at seed 26, and a clean
-# SIGTERM drain.
+# /v1/study bytes identical to the studysim CLI at seed 26, an annotated
+# -O2 /v1/decompile of examples/lintdemo/dirty.c identical to the
+# decompile CLI's stdout, and a clean SIGTERM drain.
 serve_smoke() {
 	smoke_tmp="$(mktemp -d)"
 	go build -o "$smoke_tmp/served" ./cmd/served
 	go build -o "$smoke_tmp/loadgen" ./cmd/loadgen
 	go build -o "$smoke_tmp/studysim" ./cmd/studysim
+	go build -o "$smoke_tmp/decompile" ./cmd/decompile
 
 	"$smoke_tmp/served" -addr 127.0.0.1:0 -addr-file "$smoke_tmp/addr" \
 		>"$smoke_tmp/served.out" 2>"$smoke_tmp/served.err" &
@@ -207,6 +211,22 @@ serve_smoke() {
 		exit 1
 	fi
 	echo "   /v1/study byte-identical to studysim ($cli_sum)"
+
+	# Served and the CLI share one source front end and renderer, so an
+	# annotated -O2 decompile of the same file is the same text.
+	cli_sum="$("$smoke_tmp/decompile" -opt 2 -annotate examples/lintdemo/dirty.c 2>/dev/null | sha256sum | cut -d' ' -f1)"
+	srv_sum="$(python3 -c 'import json,sys; print(json.dumps({"source": open(sys.argv[1]).read(), "opt": 2, "annotate": True}))' examples/lintdemo/dirty.c |
+		curl -s -X POST --data-binary @- "http://$addr/v1/decompile" |
+		python3 -c 'import json,sys; sys.stdout.write(json.load(sys.stdin)["output"])' | sha256sum | cut -d' ' -f1)"
+	if [ "$cli_sum" != "$srv_sum" ]; then
+		echo "serve: /v1/decompile diverged from the decompile CLI on dirty.c at -opt 2 -annotate:"
+		echo "  cli:    $cli_sum"
+		echo "  served: $srv_sum"
+		kill "$spid" 2>/dev/null || true
+		rm -rf "$smoke_tmp"
+		exit 1
+	fi
+	echo "   /v1/decompile byte-identical to decompile -opt 2 -annotate on dirty.c ($cli_sum)"
 
 	kill -TERM "$spid"
 	if ! wait "$spid"; then

@@ -56,10 +56,10 @@ debug-smoke:
 opt-check:
 	./scripts/check.sh opt
 
-# The model-store gate: the store's single-flight/disk/fault tests plus
-# the streaming determinism matrix and model marshal round-trips under
-# -race, then a studysim identity sweep — cold disk cache, warm reuse,
-# -no-model-cache, jobs 1 vs 8 must all hash identical.
+# The model-store gate: the store's single-flight/fault tests plus the
+# streaming determinism matrix and the shared-model telemetry test under
+# -race, then a studysim identity sweep — -no-model-cache and jobs 1 vs 8
+# must hash identical to the flagless run.
 store-check:
 	./scripts/check.sh store
 

@@ -22,10 +22,6 @@
 // -memprofile write pprof profiles, and -debug-addr serves the live
 // /debug HTTP surface for the duration of the run.
 //
-// -model-cache DIR persists the recovery model to a content-addressed
-// on-disk store so repeated -annotate runs skip training;
-// -no-model-cache trains fresh every run. Output is identical either way.
-//
 // -faults arms deterministic fault injection (see internal/fault) and
 // -retry-budget bounds transient retries; with a plan armed the run
 // manifest is printed to stderr after the run. The shared flags and their
@@ -63,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	funcName := fs.String("func", "", "only process the named function")
 	typeList := fs.String("types", "", "comma-separated extra type names for the parser")
 	snippet := fs.String("snippet", "", "operate on an embedded study snippet (AEEK, BAPL, POSTORDER, TC)")
-	cf := cli.Register(fs, cli.Obs|cli.Faults|cli.ModelCache)
+	cf := cli.Register(fs, cli.Obs|cli.Faults)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"decompstudy/internal/modelstore"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/serve"
 )
@@ -88,14 +87,13 @@ func TestFaultRunPrintsManifest(t *testing.T) {
 // lintdemo file at every optimization level, plain, annotated, as IR and
 // filtered to one function.
 func TestServedSourceDecompileMatchesCLI(t *testing.T) {
-	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, modelstore.New(), serve.Options{})
+	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, serve.Options{})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer srv.Close()
 	defer hs.Close()
-	cache := t.TempDir()
 
 	demos := map[string]string{"clean.c": "sum_range", "dirty.c": "uninit_read"}
 	for file, fn := range demos {
@@ -116,7 +114,7 @@ func TestServedSourceDecompileMatchesCLI(t *testing.T) {
 				{"func", []string{"-func", fn}, serve.DecompileRequest{Func: fn}},
 			} {
 				what := fmt.Sprintf("%s -opt %d %s", file, level, mode.name)
-				args := append([]string{"-model-cache", cache, "-opt", strconv.Itoa(level)}, mode.flags...)
+				args := append([]string{"-opt", strconv.Itoa(level)}, mode.flags...)
 				var stdout, stderr bytes.Buffer
 				if code := run(append(args, path), &stdout, &stderr); code != 0 {
 					t.Fatalf("%s: CLI exit = %d; stderr: %s", what, code, stderr.String())

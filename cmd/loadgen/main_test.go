@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"decompstudy/internal/modelstore"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/serve"
 )
@@ -19,7 +18,7 @@ func loadArgs(hs *httptest.Server) []string {
 }
 
 func TestCleanRunAgainstServerExitsZero(t *testing.T) {
-	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, modelstore.New(), serve.Options{Queue: serve.DefaultQueue})
+	srv, err := serve.NewServer(context.Background(), &obs.Obs{}, serve.Options{Queue: serve.DefaultQueue})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

@@ -15,11 +15,7 @@
 // metrics snapshot to stderr, -trace writes a Chrome trace-event JSON
 // file, -v / -log-level enable structured logging, -cpuprofile /
 // -memprofile write pprof profiles, and -debug-addr serves the live
-// /debug HTTP surface for the duration of the run.
-//
-// -model-cache DIR persists the embedding model to a content-addressed
-// on-disk store so repeated runs skip training; -no-model-cache trains
-// fresh every run. Output is identical either way. The shared flags and
+// /debug HTTP surface for the duration of the run. The shared flags and
 // their teardown come from internal/cli.
 package main
 
@@ -49,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("nametool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	optLevel := fs.Int("opt", 0, "optimization level (0-2) applied to the snippet IR before extracting renamings")
-	cf := cli.Register(fs, cli.Obs|cli.ModelCache)
+	cf := cli.Register(fs, cli.Obs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

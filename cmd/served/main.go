@@ -1,13 +1,13 @@
 // Command served runs the decompilation service: a long-lived HTTP JSON
 // API in front of the study pipeline, with models trained once at startup
-// (or loaded from the content-addressed model store) and shared across
-// every request.
+// into an in-process model store and shared across every request,
+// /v1/study runs included.
 //
 // Usage:
 //
 //	served [-addr HOST:PORT] [-jobs N] [-queue N] [-study-concurrency N]
-//	       [-allow-fault-header] [-model-cache DIR | -no-model-cache]
-//	       [-addr-file PATH] [-drain-timeout D] [-v | -log-level L]
+//	       [-study-queue N] [-allow-fault-header] [-addr-file PATH]
+//	       [-drain-timeout D] [-debug-sample D] [-v | -log-level L]
 //
 // Endpoints: POST /v1/decompile, /v1/annotate, /v1/lint, /v1/metrics,
 // /v1/study; GET /healthz; and the live /debug telemetry surface
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	allowFault := fs.Bool("allow-fault-header", false, "honor X-Fault-Plan chaos headers (off by default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
 	debugSample := fs.Duration("debug-sample", obs.DefaultSampleInterval, "runtime sampling interval for the /debug metrics gauges")
-	cf := cli.Register(fs, cli.Log|cli.ModelCache)
+	cf := cli.Register(fs, cli.Log)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -68,11 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	logger, err := cf.Logger(stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "served: %v\n", err)
-		return 2
-	}
-	store, err := cf.Store()
 	if err != nil {
 		fmt.Fprintf(stderr, "served: %v\n", err)
 		return 2
@@ -86,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer sampler.Stop()
 
 	warmStart := time.Now()
-	srv, err := serve.NewServer(context.Background(), o, store, serve.Options{
+	srv, err := serve.NewServer(context.Background(), o, serve.Options{
 		Jobs:             *jobs,
 		Queue:            *queue,
 		StudyConcurrency: *studyConc,

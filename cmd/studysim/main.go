@@ -27,11 +27,9 @@
 // When injection is armed (or anything was excluded) the run manifest —
 // exclusions and retry counts — is printed to stderr after the run.
 //
-// Performance flags: -model-cache DIR persists trained models to a
-// content-addressed on-disk store so reruns skip training entirely;
-// -no-model-cache disables the model store (every run trains fresh). Both
-// are output-invariant: artifacts are byte-identical either way, and at
-// any -jobs value.
+// -no-model-cache disables the in-process model store, so every training
+// runs fresh. It is output-invariant: artifacts are byte-identical either
+// way, and at any -jobs value.
 //
 // The shared flags and their teardown come from internal/cli.
 package main

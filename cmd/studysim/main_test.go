@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -38,38 +37,6 @@ func TestUnknownArtifactFailsBeforePipeline(t *testing.T) {
 	if code := run([]string{"-artifact", "nope", "-export", t.TempDir() + "/x"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
-}
-
-func TestBadModelCacheDirExitsTwo(t *testing.T) {
-	// An unusable -model-cache directory must fail fast, before the
-	// pipeline, with the path named — same contract as unknown artifacts.
-	for name, dir := range map[string]string{
-		"missing": t.TempDir() + "/does/not/exist",
-		"file":    mustTempFile(t),
-	} {
-		t.Run(name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run([]string{"-model-cache", dir}, &stdout, &stderr)
-			if code != 2 {
-				t.Fatalf("run(-model-cache %s) = %d, want exit code 2", dir, code)
-			}
-			if msg := stderr.String(); !strings.Contains(msg, dir) {
-				t.Errorf("stderr does not name the bad cache dir %q: %q", dir, msg)
-			}
-			if stdout.Len() != 0 {
-				t.Errorf("stdout should be empty on usage error, got %q", stdout.String())
-			}
-		})
-	}
-}
-
-func mustTempFile(t *testing.T) string {
-	t.Helper()
-	path := t.TempDir() + "/not-a-dir"
-	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 func TestBadFlagExitsTwo(t *testing.T) {

@@ -5,7 +5,7 @@
 //
 // Usage in a command's run function:
 //
-//	cf := cli.Register(fs, cli.Obs|cli.Faults|cli.ModelCache)
+//	cf := cli.Register(fs, cli.Obs|cli.Faults)
 //	if err := fs.Parse(args); err != nil {
 //		return 2
 //	}
@@ -41,7 +41,7 @@ const (
 	Obs
 	// Faults registers -faults and -retry-budget.
 	Faults
-	// ModelCache registers -model-cache and -no-model-cache.
+	// ModelCache registers -no-model-cache.
 	ModelCache
 )
 
@@ -49,10 +49,10 @@ const (
 type Flags struct {
 	prog string
 
-	verbose, stats, noModelCache                                      bool
-	logLevel, trace, cpuProfile, memProfile, debugAddr, faults, cache string
-	debugSample                                                       time.Duration
-	retryBudget                                                       int
+	verbose, stats, noModelCache                               bool
+	logLevel, trace, cpuProfile, memProfile, debugAddr, faults string
+	debugSample                                                time.Duration
+	retryBudget                                                int
 
 	// Collect forces a trace collector and metrics registry even when no
 	// flag asks for one (studysim's telemetry artifact renders them).
@@ -80,7 +80,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 		fs.IntVar(&f.retryBudget, "retry-budget", fault.DefaultRetryBudget, "per-run retry budget for transient injected faults")
 	}
 	if groups&ModelCache != 0 {
-		fs.StringVar(&f.cache, "model-cache", "", "persist trained models to this directory, content-addressed (reruns skip training)")
 		fs.BoolVar(&f.noModelCache, "no-model-cache", false, "disable the in-process model store; every run trains fresh")
 	}
 	return f
@@ -101,18 +100,14 @@ func (f *Flags) Logger(w io.Writer) (*slog.Logger, error) {
 	return obs.NewLogger(w, level), nil
 }
 
-// Store resolves -model-cache / -no-model-cache (see modelstore.FromFlags).
-func (f *Flags) Store() (*modelstore.Store, error) {
-	return modelstore.FromFlags(f.cache, f.noModelCache)
-}
-
 // Setup validates every flag, then starts the run's side machinery: the
 // /debug server and runtime sampler, and the CPU profile. The context
-// carries the telemetry handle, the model store, a run manifest and the
-// armed fault injector. An invalid flag exits 2 and a failed start exits 1,
-// and either way nothing is left running. Otherwise finish must run once
-// at exit: it tears everything down in a fixed order and folds any
-// teardown failure into the exit code.
+// carries the telemetry handle, an in-process model store (none under
+// -no-model-cache), a run manifest and the armed fault injector. An
+// invalid flag exits 2 and a failed start exits 1, and either way nothing
+// is left running. Otherwise finish must run once at exit: it tears
+// everything down in a fixed order and folds any teardown failure into
+// the exit code.
 func (f *Flags) Setup(stderr io.Writer) (ctx context.Context, finish func(code int) int, code int) {
 	fail := func(code int, err error) (context.Context, func(int) int, int) {
 		fmt.Fprintf(stderr, "%s: %v\n", f.prog, err)
@@ -130,18 +125,17 @@ func (f *Flags) Setup(stderr io.Writer) (ctx context.Context, finish func(code i
 		}
 		inj = fault.NewInjector(plan, f.retryBudget)
 	}
-	store, err := f.Store()
-	if err != nil {
-		return fail(2, err)
-	}
-
 	o := &obs.Obs{Log: logger}
 	if f.trace != "" || f.stats || f.debugAddr != "" || f.Collect {
 		o.Trace = obs.NewCollector()
 		o.Metrics = obs.NewRegistry()
 	}
+	ctx = obs.With(context.Background(), o)
+	if !f.noModelCache {
+		ctx = modelstore.With(ctx, modelstore.New())
+	}
 	man := fault.NewManifest()
-	ctx = fault.WithManifest(modelstore.With(obs.With(context.Background(), o), store), man)
+	ctx = fault.WithManifest(ctx, man)
 	if inj != nil {
 		ctx = fault.With(ctx, inj)
 	}

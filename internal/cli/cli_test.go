@@ -69,7 +69,6 @@ func TestInvalidFlagsStartNothing(t *testing.T) {
 	}{
 		{"bad faults", []string{"-faults", "nonsense!!"}, "fault"},
 		{"bad log level", []string{"-log-level", "loud"}, "loud"},
-		{"missing model cache", []string{"-model-cache", filepath.Join(t.TempDir(), "missing")}, "missing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := freeAddr(t)
@@ -112,7 +111,7 @@ func TestFinishTearsDownAndReports(t *testing.T) {
 		"-memprofile": filepath.Join(dir, "mem.out"),
 		"-trace":      filepath.Join(dir, "trace.json"),
 	}
-	args := []string{"-debug-addr", addr, "-stats", "-faults", "seed=1", "-model-cache", dir}
+	args := []string{"-debug-addr", addr, "-stats", "-faults", "seed=1"}
 	for flag, path := range files {
 		args = append(args, flag, path)
 	}
@@ -120,8 +119,8 @@ func TestFinishTearsDownAndReports(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("Setup = %d, stderr: %s", code, stderr)
 	}
-	if st := modelstore.From(ctx); st == nil || st.Dir() != dir {
-		t.Errorf("context store = %v, want the disk store at %s", st, dir)
+	if st := modelstore.From(ctx); st == nil || st.Stats() != (modelstore.Stats{}) {
+		t.Errorf("context store = %v, want a fresh in-process store", st)
 	}
 	if fault.ManifestFrom(ctx) == nil || fault.From(ctx) == nil {
 		t.Error("context is missing the run manifest or the armed injector")
@@ -205,7 +204,7 @@ func TestRegisterGroups(t *testing.T) {
 		want   string
 	}{
 		{Log, "log-level v"},
-		{Log | ModelCache, "log-level model-cache no-model-cache v"},
+		{Log | ModelCache, "log-level no-model-cache v"},
 		{Obs, "cpuprofile debug-addr debug-sample log-level memprofile stats trace v"},
 		{Obs | Faults, "cpuprofile debug-addr debug-sample faults log-level memprofile retry-budget stats trace v"},
 	} {

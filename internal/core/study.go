@@ -396,9 +396,10 @@ func (s *Study) finishTelemetry(ctx context.Context, sp *obs.Span, man *fault.Ma
 	// metric evaluation and the expert panel score through the same cache.
 	// (With a model store attached the model — and so the cache — may be
 	// shared across runs; the stats are then cumulative for the model.)
+	// Hit and miss counts are the live embed.cache.lookups counters the
+	// model bumps per lookup; re-adding the cumulative totals here would
+	// count a shared model's history once per run.
 	st := s.Embed.CacheStats()
-	obs.AddCount(ctx, "embed.cache.hits", st.Hits)
-	obs.AddCount(ctx, "embed.cache.misses", st.Misses)
 	obs.SetGauge(ctx, "embed.cache.hit_rate", st.HitRate())
 	obs.SetGauge(ctx, "embed.cache.miss_ns", st.MissCostNs())
 	obs.SetGauge(ctx, "embed.cache.ident_entries", float64(st.IdentEntries))

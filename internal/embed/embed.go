@@ -144,6 +144,11 @@ func (c *Config) defaults() Config {
 	return out
 }
 
+// Resolved returns the configuration with defaults applied — the exact
+// parameters a Train call with this config uses, which is what a
+// content-addressed cache must key on.
+func (c *Config) Resolved() Config { return c.defaults() }
+
 // Train builds an embedding model from a corpus of contexts. Each context
 // is a sequence of identifiers that appear together (for this project: the
 // identifiers of one function, in source order). Identifiers are split into

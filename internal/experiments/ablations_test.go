@@ -104,12 +104,12 @@ func TestAblationGridSharesOneTraining(t *testing.T) {
 			t.Fatalf("jobs=%d: AblationsCtx: %v", jobs, err)
 		}
 		s := st.Stats()
-		if s.Trains != 2 {
-			t.Errorf("jobs=%d: %d trainings, want 2 (one per model for all five cells)", jobs, s.Trains)
+		if s.Misses != 2 {
+			t.Errorf("jobs=%d: %d trainings, want 2 (one per model for all five cells)", jobs, s.Misses)
 		}
-		if s.Lookups != 10 || s.Hits+s.DiskHits != 8 {
-			t.Errorf("jobs=%d: %d lookups with %d hits + %d disk hits, want 10 with 8 served without training",
-				jobs, s.Lookups, s.Hits, s.DiskHits)
+		if s.Lookups != 10 || s.Hits != 8 {
+			t.Errorf("jobs=%d: %d lookups with %d hits, want 10 with 8 served without training",
+				jobs, s.Lookups, s.Hits)
 		}
 	}
 }

@@ -1,19 +1,16 @@
 // Package modelstore is a content-addressed cache for trained models. A
 // model is identified by the sha256 of everything its training depends on
-// — the corpus content, the resolved training configuration, the format
-// version, and the training seed — so a lookup either returns a model
-// bit-identical to what training would produce or trains one. Nothing is
-// ever invalidated by time or by hand: editing the corpus or the training
-// parameters changes the key, and the stale entry is simply never asked
-// for again.
+// — the model kind, the corpus content, the resolved training
+// configuration, and the training seed — so a lookup either returns a
+// model bit-identical to what training would produce or trains one.
+// Nothing is ever invalidated by time or by hand: editing the corpus or
+// the training parameters changes the key, and the stale entry is simply
+// never asked for again.
 //
-// The store has two tiers. The in-process tier is a sharded map (the same
-// FNV-over-shards idiom as embed's similarity cache) holding live model
-// pointers; models are immutable after training, so a pointer can be
-// shared by every study run in the process. The optional on-disk tier
-// (-model-cache DIR) persists models across processes in a checksummed
-// binary format written atomically (temp file + rename); a corrupted or
-// truncated file is treated as a miss and retrained, never trusted.
+// The store is a sharded in-process map holding live model pointers;
+// models are immutable after training, so a pointer can be shared by
+// every study run in the process — served and the ablation grid train
+// each model once.
 //
 // Concurrent requests for the same key are single-flighted: one caller
 // trains, the rest wait for the result. A failed training stores nothing —
@@ -22,8 +19,8 @@
 // themselves rather than inheriting someone else's cancellation.
 //
 // Telemetry: every lookup bumps the labeled counter
-// modelstore.lookups{result=hit|miss|disk_hit}, and Stats() exposes the
-// same tallies programmatically for benchmarks.
+// modelstore.lookups{result=hit|miss}, and Stats() exposes the same
+// tallies programmatically for benchmarks.
 package modelstore
 
 import (
@@ -32,9 +29,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -43,9 +37,6 @@ import (
 	"decompstudy/internal/namerec"
 	"decompstudy/internal/obs"
 )
-
-// ErrCacheDir is returned by Open when the cache directory is unusable.
-var ErrCacheDir = errors.New("modelstore: unusable cache directory")
 
 // Key identifies one trained model: a sha256 over the training inputs.
 type Key [sha256.Size]byte
@@ -56,7 +47,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // trainSeed is the training-RNG seed component of every key. Both trainers
 // are deterministic with fixed internal seeds today, so this is a
 // constant; if a trainer ever grows a seed parameter, it joins the key
-// here and old cache entries invalidate themselves.
+// here.
 const trainSeed = 0
 
 const numShards = 16
@@ -66,17 +57,15 @@ type shard struct {
 	m  map[Key]any
 }
 
-// Store is the two-tier content-addressed model cache. The zero value is
-// not usable; construct with New or Open.
+// Store is the content-addressed model cache. The zero value is not
+// usable; construct with New.
 type Store struct {
-	dir string // "" = in-memory only
-
 	shards [numShards]shard
 
 	fmu    sync.Mutex
 	flight map[Key]*call
 
-	lookups, hits, misses, diskHits, diskErrors, trains atomic.Int64
+	lookups, hits, misses atomic.Int64
 }
 
 // call is one in-flight training, shared by every waiter for its key.
@@ -87,10 +76,10 @@ type call struct {
 }
 
 // Stats is a snapshot of the store's lookup tallies. Lookups = Hits +
-// Misses + DiskHits; Trains counts actual training runs (≤ Misses, since
-// single-flighted waiters count as hits).
+// Misses; every miss is one training run (single-flighted waiters count
+// as hits).
 type Stats struct {
-	Lookups, Hits, Misses, DiskHits, DiskErrors, Trains int64
+	Lookups, Hits, Misses int64
 }
 
 // HitRate is the fraction of lookups served without training.
@@ -98,10 +87,10 @@ func (s Stats) HitRate() float64 {
 	if s.Lookups == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.DiskHits) / float64(s.Lookups)
+	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// New returns an in-memory-only store.
+// New returns an empty store.
 func New() *Store {
 	s := &Store{flight: map[Key]*call{}}
 	for i := range s.shards {
@@ -110,56 +99,12 @@ func New() *Store {
 	return s
 }
 
-// Open returns a store backed by an on-disk cache directory. The directory
-// must already exist and be writable; anything else — missing, a plain
-// file, read-only — is ErrCacheDir naming the path, so a CLI typo fails
-// fast instead of silently training from scratch every run.
-func Open(dir string) (*Store, error) {
-	info, err := os.Stat(dir)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCacheDir, dir, err)
-	}
-	if !info.IsDir() {
-		return nil, fmt.Errorf("%w: %s: not a directory", ErrCacheDir, dir)
-	}
-	probe, err := os.CreateTemp(dir, ".probe-*")
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: not writable: %v", ErrCacheDir, dir, err)
-	}
-	name := probe.Name()
-	probe.Close()
-	os.Remove(name)
-	s := New()
-	s.dir = dir
-	return s, nil
-}
-
-// Dir returns the on-disk cache directory, or "" for an in-memory store.
-func (s *Store) Dir() string { return s.dir }
-
-// FromFlags resolves the CLI cache flags shared by every command: nil when
-// -no-model-cache disabled caching, a disk-backed store for -model-cache
-// DIR (failing with ErrCacheDir on an unusable directory), an in-memory
-// store otherwise.
-func FromFlags(dir string, disable bool) (*Store, error) {
-	if disable {
-		return nil, nil
-	}
-	if dir != "" {
-		return Open(dir)
-	}
-	return New(), nil
-}
-
 // Stats returns a snapshot of the lookup tallies.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Lookups:    s.lookups.Load(),
-		Hits:       s.hits.Load(),
-		Misses:     s.misses.Load(),
-		DiskHits:   s.diskHits.Load(),
-		DiskErrors: s.diskErrors.Load(),
-		Trains:     s.trains.Load(),
+		Lookups: s.lookups.Load(),
+		Hits:    s.hits.Load(),
+		Misses:  s.misses.Load(),
 	}
 }
 
@@ -190,7 +135,7 @@ func (s *Store) EmbedModel(ctx context.Context, contexts [][]string, cfg *embed.
 	if s == nil {
 		return embed.TrainCtx(ctx, contexts, cfg)
 	}
-	v, err := s.get(ctx, EmbedKey(contexts, cfg), embedCodec{},
+	v, err := s.get(ctx, EmbedKey(contexts, cfg),
 		func(ctx context.Context) (any, error) { return embed.TrainCtx(ctx, contexts, cfg) })
 	if err != nil {
 		return nil, err
@@ -214,7 +159,7 @@ func (s *Store) NamerecModel(ctx context.Context, sources []string, files func()
 	if s == nil {
 		return train(ctx)
 	}
-	v, err := s.get(ctx, NamerecKey(sources), namerecCodec{},
+	v, err := s.get(ctx, NamerecKey(sources),
 		func(ctx context.Context) (any, error) { return train(ctx) })
 	if err != nil {
 		return nil, err
@@ -222,13 +167,13 @@ func (s *Store) NamerecModel(ctx context.Context, sources []string, files func()
 	return v.(*namerec.Model), nil
 }
 
-// EmbedKey computes the content address of an embedding model: format
-// version, resolved configuration, training seed, and every context's
+// EmbedKey computes the content address of an embedding model: model
+// kind, resolved configuration, training seed, and every context's
 // identifiers with unambiguous length framing.
 func EmbedKey(contexts [][]string, cfg *embed.Config) Key {
 	c := cfg.Resolved()
 	h := sha256.New()
-	fmt.Fprintf(h, "decompstudy/modelstore embed v%d\n", marshalGeneration)
+	h.Write([]byte("decompstudy/modelstore embed\n"))
 	writeInts(h, int64(c.Dim), int64(c.Window), int64(c.Iterations), trainSeed)
 	writeInts(h, int64(len(contexts)))
 	for _, ctx := range contexts {
@@ -242,11 +187,11 @@ func EmbedKey(contexts [][]string, cfg *embed.Config) Key {
 	return k
 }
 
-// NamerecKey computes the content address of a recovery model: format
-// version, training seed, and the raw corpus sources in order.
+// NamerecKey computes the content address of a recovery model: model
+// kind, training seed, and the raw corpus sources in order.
 func NamerecKey(sources []string) Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "decompstudy/modelstore namerec v%d\n", marshalGeneration)
+	h.Write([]byte("decompstudy/modelstore namerec\n"))
 	writeInts(h, trainSeed, int64(len(sources)))
 	for _, src := range sources {
 		writeStr(h, src)
@@ -255,13 +200,6 @@ func NamerecKey(sources []string) Key {
 	h.Sum(k[:0])
 	return k
 }
-
-// marshalGeneration versions the keys alongside the disk format: bumping
-// it (when a model's serialization changes) orphans old disk entries
-// instead of misreading them. Generation 2: namerec training orders its
-// examples by name, so generation-1 recovery models (examples in map
-// order) no longer match what training produces.
-const marshalGeneration = 2
 
 func writeInts(h interface{ Write([]byte) (int, error) }, vs ...int64) {
 	var buf [binary.MaxVarintLen64]byte
@@ -275,9 +213,8 @@ func writeStr(h interface{ Write([]byte) (int, error) }, s string) {
 	h.Write([]byte(s))
 }
 
-// get is the two-tier single-flighted lookup. codec may be nil for values
-// that live only in memory.
-func (s *Store) get(ctx context.Context, key Key, c codec, build func(context.Context) (any, error)) (any, error) {
+// get is the single-flighted lookup.
+func (s *Store) get(ctx context.Context, key Key, build func(context.Context) (any, error)) (any, error) {
 	s.lookups.Add(1)
 	if v, ok := s.load(key); ok {
 		s.hits.Add(1)
@@ -318,7 +255,7 @@ func (s *Store) get(ctx context.Context, key Key, c codec, build func(context.Co
 		s.flight[key] = cl
 		s.fmu.Unlock()
 
-		cl.val, cl.err = s.buildMiss(ctx, key, c, build)
+		cl.val, cl.err = s.buildMiss(ctx, key, build)
 		s.fmu.Lock()
 		delete(s.flight, key)
 		s.fmu.Unlock()
@@ -327,28 +264,16 @@ func (s *Store) get(ctx context.Context, key Key, c codec, build func(context.Co
 	}
 }
 
-// buildMiss resolves a miss for the winning caller: disk first, then a
-// real training run. Only a successful result is published.
-func (s *Store) buildMiss(ctx context.Context, key Key, c codec, build func(context.Context) (any, error)) (any, error) {
-	if s.dir != "" && c != nil {
-		if v, ok := s.loadDisk(ctx, key, c); ok {
-			s.diskHits.Add(1)
-			obs.AddCountL(ctx, "modelstore.lookups", 1, obs.L("result", "disk_hit"))
-			s.publish(key, v)
-			return v, nil
-		}
-	}
+// buildMiss trains for the winning caller. Only a successful result is
+// published.
+func (s *Store) buildMiss(ctx context.Context, key Key, build func(context.Context) (any, error)) (any, error) {
 	s.misses.Add(1)
 	obs.AddCountL(ctx, "modelstore.lookups", 1, obs.L("result", "miss"))
-	s.trains.Add(1)
 	v, err := build(ctx)
 	if err != nil {
 		return nil, err
 	}
 	s.publish(key, v)
-	if s.dir != "" && c != nil {
-		s.writeDisk(ctx, key, c, v)
-	}
 	return v, nil
 }
 
@@ -375,141 +300,4 @@ func (s *Store) publish(key Key, v any) {
 
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// --- disk tier ---
-
-// Disk entry layout: magic, format generation, the full key, a uvarint
-// payload length, the payload, and a sha256 of the payload. The key in the
-// file guards against renamed files; the checksum against torn writes.
-const diskMagic = "DSMSTORE"
-
-func (s *Store) path(key Key) string {
-	return filepath.Join(s.dir, key.String()+".model")
-}
-
-func (s *Store) loadDisk(ctx context.Context, key Key, c codec) (any, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false // not on disk: a plain miss, not an error
-	}
-	payload, err := decodeDiskEntry(data, key)
-	if err != nil {
-		s.diskError(ctx, err)
-		return nil, false
-	}
-	v, err := c.unmarshal(ctx, payload)
-	if err != nil {
-		s.diskError(ctx, err)
-		return nil, false
-	}
-	return v, true
-}
-
-func decodeDiskEntry(data []byte, key Key) ([]byte, error) {
-	if len(data) < len(diskMagic)+1+len(key) || string(data[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("modelstore: %s: bad magic", key)
-	}
-	off := len(diskMagic)
-	gen, n := binary.Uvarint(data[off:])
-	if n <= 0 || gen != marshalGeneration {
-		return nil, fmt.Errorf("modelstore: %s: format generation mismatch", key)
-	}
-	off += n
-	if off+len(key) > len(data) || Key(data[off:off+len(key)]) != key {
-		return nil, fmt.Errorf("modelstore: %s: key mismatch", key)
-	}
-	off += len(key)
-	plen, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("modelstore: %s: truncated length", key)
-	}
-	off += n
-	if off+int(plen)+sha256.Size != len(data) {
-		return nil, fmt.Errorf("modelstore: %s: truncated payload", key)
-	}
-	payload := data[off : off+int(plen)]
-	sum := sha256.Sum256(payload)
-	if [sha256.Size]byte(data[off+int(plen):]) != sum {
-		return nil, fmt.Errorf("modelstore: %s: checksum mismatch", key)
-	}
-	return payload, nil
-}
-
-// writeDisk persists a model atomically. A write failure (disk full, a
-// permission change after Open) degrades the store to in-memory for that
-// entry: the error is counted and logged, never propagated — the caller
-// already holds a perfectly good model.
-func (s *Store) writeDisk(ctx context.Context, key Key, c codec, v any) {
-	payload, err := c.marshal(v)
-	if err != nil {
-		s.diskError(ctx, err)
-		return
-	}
-	var buf []byte
-	buf = append(buf, diskMagic...)
-	buf = binary.AppendUvarint(buf, marshalGeneration)
-	buf = append(buf, key[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		s.diskError(ctx, err)
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		s.diskError(ctx, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		s.diskError(ctx, err)
-		return
-	}
-	if err := os.Rename(name, s.path(key)); err != nil {
-		os.Remove(name)
-		s.diskError(ctx, err)
-		return
-	}
-}
-
-func (s *Store) diskError(ctx context.Context, err error) {
-	s.diskErrors.Add(1)
-	obs.AddCount(ctx, "modelstore.disk_errors", 1)
-	obs.Logger(ctx).Error("modelstore disk tier error", "err", err)
-}
-
-// --- codecs ---
-
-// codec (de)serializes one model kind for the disk tier.
-type codec interface {
-	marshal(v any) ([]byte, error)
-	unmarshal(ctx context.Context, data []byte) (any, error)
-}
-
-type embedCodec struct{}
-
-func (embedCodec) marshal(v any) ([]byte, error) { return v.(*embed.Model).MarshalBinary() }
-func (embedCodec) unmarshal(ctx context.Context, data []byte) (any, error) {
-	m, err := embed.UnmarshalModel(data)
-	if err != nil {
-		return nil, err
-	}
-	// Bind the live telemetry counters exactly as a fresh train would,
-	// before the model escapes the single-flight build.
-	m.BindObs(ctx)
-	return m, nil
-}
-
-type namerecCodec struct{}
-
-func (namerecCodec) marshal(v any) ([]byte, error) { return v.(*namerec.Model).MarshalBinary() }
-func (namerecCodec) unmarshal(_ context.Context, data []byte) (any, error) {
-	return namerec.UnmarshalModel(data)
 }

@@ -52,8 +52,8 @@ func TestConcurrentGetTrainStorm(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Trains != 1 {
-		t.Fatalf("Trains = %d, want exactly 1 across %d concurrent gets", st.Trains, goroutines*rounds)
+	if st.Misses != 1 {
+		t.Fatalf("Misses = %d, want exactly 1 across %d concurrent gets", st.Misses, goroutines*rounds)
 	}
 	if st.Lookups != goroutines*rounds {
 		t.Errorf("Lookups = %d, want %d", st.Lookups, goroutines*rounds)

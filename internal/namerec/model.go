@@ -59,7 +59,7 @@ func TrainModelCtx(ctx context.Context, files []*csrc.File) (*Model, error) {
 			types := variableTypes(fn)
 			// Predict keeps the first best-scoring example, so examples are
 			// added in sorted name order: training is deterministic, and two
-			// trainings on the same corpus marshal to the same bytes.
+			// trainings on the same corpus build the same model.
 			names := make([]string, 0, len(feats))
 			for name := range feats {
 				names = append(names, name)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"decompstudy/internal/analysis"
+	"decompstudy/internal/compile"
 	"decompstudy/internal/compile/opt"
 	"decompstudy/internal/core"
 	"decompstudy/internal/corpus"
@@ -107,13 +108,28 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, csrc.ErrLimit), errors.Is(err, corpus.ErrNoFunc):
-		// Input nested past the parser's limits is the client's fault;
-		// other parse errors (and injected csrc.parse faults) stay 500.
+	case isClientError(err):
 		writeError(w, http.StatusBadRequest, err)
 	default:
 		writeError(w, http.StatusInternalServerError, err)
 	}
+}
+
+// isClientError reports whether err blames the request's source: a lexical
+// or syntax error, input nested past the parser's limits, a construct the
+// compiler does not support, or a func filter that matches nothing.
+// Injected faults wrap the same stage errors but are the server's doing,
+// so they stay 500.
+func isClientError(err error) bool {
+	if errors.As(err, new(*fault.Error)) {
+		return false
+	}
+	for _, target := range []error{csrc.ErrLex, csrc.ErrParse, csrc.ErrLimit, compile.ErrUnsupported, corpus.ErrNoFunc} {
+		if errors.Is(err, target) {
+			return true
+		}
+	}
+	return false
 }
 
 func decode(r *http.Request, v any) error {

@@ -73,16 +73,16 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts Options
 	// base is the server-lifetime context all processing derives from:
-	// telemetry handle, worker count, and model store attached; cancelled
-	// only by Close. Request contexts never feed it, so one disconnect
-	// cannot poison shared work.
+	// telemetry handle, worker count, and the server's model store
+	// attached; cancelled only by Close. Request contexts never feed it,
+	// so one disconnect cannot poison shared work.
 	base   context.Context
 	cancel context.CancelFunc
 	o      *obs.Obs
 
 	// embedModel and recModel are the warm models: trained once at
-	// startup (or loaded from the content-addressed store), immutable
-	// after, read lock-free by every request.
+	// startup into the server's model store, immutable after, read
+	// lock-free by every request.
 	embedModel *embed.Model
 	recModel   *namerec.Model
 
@@ -93,19 +93,18 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// NewServer warms the models and assembles the service. o carries the
-// telemetry facilities (nil facilities degrade gracefully); store may be
-// nil to train in-process without a cache. Warming is part of startup by
-// design: the first request must never pay the training tax.
-func NewServer(parent context.Context, o *obs.Obs, store *modelstore.Store, opts Options) (*Server, error) {
+// NewServer warms the models into a fresh in-process model store and
+// assembles the service; /v1/study runs look their models up in the same
+// store, so they never train. o carries the telemetry facilities (nil
+// facilities degrade gracefully). Warming is part of startup by design:
+// the first request must never pay the training tax.
+func NewServer(parent context.Context, o *obs.Obs, opts Options) (*Server, error) {
 	if o == nil {
 		o = &obs.Obs{}
 	}
 	opts = opts.withDefaults()
-	base, cancel := context.WithCancel(par.WithJobs(obs.With(parent, o), opts.Jobs))
-	if store != nil {
-		base = modelstore.With(base, store)
-	}
+	store := modelstore.New()
+	base, cancel := context.WithCancel(par.WithJobs(modelstore.With(obs.With(parent, o), store), opts.Jobs))
 	s := &Server{
 		opts:     opts,
 		base:     base,
@@ -122,9 +121,8 @@ func NewServer(parent context.Context, o *obs.Obs, store *modelstore.Store, opts
 	return s, nil
 }
 
-// warmModels trains (or loads via the store) the embedding and name
-// recovery models before the server accepts traffic. A nil store trains
-// directly.
+// warmModels trains the embedding and name recovery models into the
+// store before the server accepts traffic.
 func (s *Server) warmModels(ctx context.Context, store *modelstore.Store) error {
 	ctx, sp := obs.StartSpan(ctx, "serve.warm")
 	defer sp.End()

@@ -20,7 +20,6 @@ import (
 	"decompstudy/internal/corpus"
 	"decompstudy/internal/experiments"
 	"decompstudy/internal/fault"
-	"decompstudy/internal/modelstore"
 	"decompstudy/internal/obs"
 	"decompstudy/internal/par"
 )
@@ -30,7 +29,7 @@ import (
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	o := &obs.Obs{Trace: obs.NewCollector(), Metrics: obs.NewRegistry()}
-	srv, err := NewServer(context.Background(), o, modelstore.New(), opts)
+	srv, err := NewServer(context.Background(), o, opts)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -448,6 +447,16 @@ func TestFaultHeaderGating(t *testing.T) {
 	if err := json.Unmarshal(raw, &e); err != nil || e["error"] == "" {
 		t.Fatalf("fault error body incomplete: %s", raw)
 	}
+	// An injected csrc.parse fault wraps csrc.ErrParse like a client's
+	// syntax error, but it is the server's failure: a well-formed source
+	// under it is a 500, not a 400.
+	for _, path := range []string{"/v1/decompile", "/v1/lint"} {
+		resp, raw = post(t, open.Client(), open.URL+path, `{"source": "int f(int a) { return a; }"}`,
+			map[string]string{"X-Fault-Plan": "seed=1; csrc.parse:error,p=1"})
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "injected fault") {
+			t.Errorf("%s under an injected parse fault = %d %s, want 500 naming the injected fault", path, resp.StatusCode, raw)
+		}
+	}
 	// The same request without the header is unaffected: injector state is
 	// per-request.
 	resp, _ = post(t, open.Client(), open.URL+"/v1/annotate", `{"snippet": "AEEK"}`, nil)
@@ -475,6 +484,12 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown snippet to decompile", "/v1/decompile", `{"snippet": "NOPE"}`, http.StatusBadRequest, `unknown snippet \"NOPE\"`},
 		{"func matches nothing", "/v1/decompile", `{"source": "int f(int a) { return a; }", "func": "g"}`,
 			http.StatusBadRequest, `no function matched \"g\"`},
+		{"syntax error to decompile", "/v1/decompile", `{"source": "int f(int a) { return a +; }"}`, http.StatusBadRequest, "csrc: parse error"},
+		{"syntax error to lint", "/v1/lint", `{"source": "int f(int a) { return a +; }"}`, http.StatusBadRequest, "csrc: parse error"},
+		{"lexical error to decompile", "/v1/decompile", `{"source": "int f(int a) { return a @ 2; }"}`, http.StatusBadRequest, "csrc: lexical error"},
+		{"lexical error to lint", "/v1/lint", `{"source": "int f(int a) { return a @ 2; }"}`, http.StatusBadRequest, "csrc: lexical error"},
+		{"unsupported construct to decompile", "/v1/decompile", `{"source": "int f(int a) { break; return a; }"}`, http.StatusBadRequest, "compile: unsupported construct"},
+		{"unsupported construct to lint", "/v1/lint", `{"source": "int f(int a) { break; return a; }"}`, http.StatusBadRequest, "compile: unsupported construct"},
 	} {
 		resp, raw := post(t, client, hs.URL+tc.path, tc.body, nil)
 		if resp.StatusCode != tc.want {
@@ -543,7 +558,7 @@ func TestNoGoroutineLeakAfterDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	o := &obs.Obs{Trace: obs.NewCollector(), Metrics: obs.NewRegistry()}
-	srv, err := NewServer(context.Background(), o, modelstore.New(), Options{Jobs: 2, Queue: 2, AllowFaultHeader: true})
+	srv, err := NewServer(context.Background(), o, Options{Jobs: 2, Queue: 2, AllowFaultHeader: true})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

@@ -38,34 +38,24 @@
 # default gate.
 #
 # `check.sh store` instead runs only the model-store gate: the store's
-# single-flight/disk/fault tests plus the streaming determinism matrix and
-# model marshal round-trips under the race detector, then a studysim
-# identity sweep proving a cold disk cache, a warm reuse of the same
-# cache, -no-model-cache, and jobs 1 vs 8 all hash identical to the
-# flagless run. The sweep also runs as part of the default gate.
+# single-flight/fault tests plus the streaming determinism matrix and the
+# shared-model telemetry test under the race detector, then a studysim
+# identity sweep proving -no-model-cache and jobs 1 vs 8 hash identical
+# to the flagless run. The sweep also runs as part of the default gate.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 # store_identity_sweep builds studysim once and proves the model store and
 # the worker count never change output bytes: every flag combination must
-# hash identical to the flagless seed-26 run, and the cold cache run must
-# actually have persisted both models to disk.
+# hash identical to the flagless seed-26 run.
 store_identity_sweep() {
 	sweep_tmp="$(mktemp -d)"
 	go build -o "$sweep_tmp/studysim" ./cmd/studysim
-	cache="$sweep_tmp/cache"
-	mkdir -p "$cache"
 
 	base="$("$sweep_tmp/studysim" -seed 26 2>/dev/null | sha256sum | cut -d' ' -f1)"
 	echo "   baseline                         $base"
-	# The first -model-cache run is cold (populates the dir); every later
-	# one reuses it warm.
-	for args in \
-		'-jobs 8' \
-		"-model-cache $cache" \
-		"-model-cache $cache -jobs 8" \
-		'-no-model-cache'; do
+	for args in '-jobs 8' '-no-model-cache'; do
 		# shellcheck disable=SC2086 # args is a deliberate word list
 		got="$("$sweep_tmp/studysim" -seed 26 $args 2>/dev/null | sha256sum | cut -d' ' -f1)"
 		if [ "$got" != "$base" ]; then
@@ -77,13 +67,6 @@ store_identity_sweep() {
 		fi
 		echo "   ok   $args"
 	done
-	models="$(find "$cache" -name '*.model' | wc -l)"
-	if [ "$models" -ne 2 ]; then
-		echo "store: cache dir holds $models persisted models after the sweep, want 2 (embed + namerec)"
-		rm -rf "$sweep_tmp"
-		exit 1
-	fi
-	echo "   cache dir persisted both models"
 	rm -rf "$sweep_tmp"
 }
 
@@ -294,10 +277,9 @@ fi
 if [ "${1:-}" = "store" ]; then
 	echo "== store (model store + streaming determinism, -race)"
 	go test -race -count=1 ./internal/modelstore/
-	go test -race -count=1 -run 'Streaming|Marshal|Task' \
-		./internal/core/ ./internal/embed/ ./internal/namerec/ ./internal/par/
+	go test -race -count=1 -run 'Streaming|SharedModel|Task' ./internal/core/ ./internal/par/
 
-	echo "-- studysim: cold/warm cache, -no-model-cache, jobs must be byte-identical"
+	echo "-- studysim: -no-model-cache and jobs must be byte-identical"
 	store_identity_sweep
 	echo "OK"
 	exit 0
